@@ -55,6 +55,24 @@ void BM_AerialImage(benchmark::State& state) {
 }
 BENCHMARK(BM_AerialImage)->Arg(1)->Arg(2)->Arg(3);
 
+void BM_AerialImageSignoff(benchmark::State& state) {
+  // Abbe at the sign-off window shape: a 512x512 grid at 8 nm under the
+  // standard 16-point source (2 rings x 8 spokes), the call that dominates
+  // model-based OPC and the post-OPC patterning simulation.
+  std::vector<Rect> lines;
+  for (int k = -7; k <= 7; ++k) lines.push_back({k * 250, -1700, k * 250 + 90, 1700});
+  const Image2D mask = rasterize_mask(lines, {-1900, -1900, 1990, 1900}, 8.0);
+  const OpticalSettings opt;  // 2 rings x 8 spokes
+  const std::vector<SourcePoint> source = sample_source(opt);
+  state.SetLabel(std::to_string(mask.nx()) + "x" + std::to_string(mask.ny()) +
+                 " S=" + std::to_string(source.size()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        aerial_image_blurred(mask, opt, 0.0, 25.0, source));
+  }
+}
+BENCHMARK(BM_AerialImageSignoff)->Unit(benchmark::kMillisecond);
+
 void BM_AerialImageSocs(benchmark::State& state) {
   // Same mask/window/conditions as BM_AerialImage, through the SOCS fast
   // path at default (exact, untruncated) knobs — the per-window speedup the

@@ -33,20 +33,10 @@ long long fft_freq_index(std::size_t k, std::size_t n);
 
 // --- Band-limited 2-D transforms -----------------------------------------
 //
-// The imaging code only ever consumes (or populates) the |kx| <= kx_max
+// The SOCS imaging path only ever consumes (or populates) the |kx| <= kx_max
 // corner of a spectrum — the pupil cuts everything beyond the coherent
-// band.  These variants skip the column transforms outside that band:
-// the forward pass runs every row but only the 2*kx_max+1 needed columns,
-// the inverse pass transforms only the nonzero columns before running the
-// rows.  Requires 2*kx_max + 1 <= nx.
-
-/// Forward 2-D FFT whose output is only guaranteed at storage columns with
-/// signed frequency |kx| <= kx_max (all ky); entries in other columns are
-/// left in an unspecified intermediate state.  The band entries are
-/// bit-identical to a full fft_2d of the same data (same per-span
-/// operation order), so callers that read only the band may switch freely.
-void fft_2d_band_forward(std::vector<Cplx>& data, std::size_t nx,
-                         std::size_t ny, std::size_t kx_max);
+// band.  These variants skip the column transforms outside that band.
+// Requires 2*kx_max + 1 <= nx.
 
 /// Inverse 2-D FFT of a spectrum that is zero outside the |kx| <= kx_max
 /// columns.  Runs the column pass first (only the nonzero columns), then

@@ -145,8 +145,9 @@ std::size_t resolved_batch(const ImagingOptions& im) {
   return std::max<std::size_t>(im.batch_windows, 1);
 }
 
-/// Batching engages only for the SOCS engine (the Abbe reference never
-/// batches) and only without an active fault plan: injected faults are
+/// Batching engages only for the SOCS engine (the Abbe reference runs its
+/// lanes within a window, never across windows) and only without an
+/// active fault plan: injected faults are
 /// attributed to one (domain, index), which a joint batch computation
 /// cannot honor, so the fault harness always sees the scalar loop.
 bool batching_enabled(const LithoSimulator& sim) {

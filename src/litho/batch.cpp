@@ -17,7 +17,8 @@ std::vector<Image2D> aerial_image_blurred_batch(
   std::vector<Image2D> out(count);
   if (count == 0) return out;
   if (imaging.mode != ImagingMode::kSocs) {
-    // The Abbe reference path never batches: scalar calls in batch order.
+    // Abbe runs its lanes within a window, not across windows: one call
+    // per mask, in batch order.
     for (std::size_t w = 0; w < count; ++w) {
       out[w] = aerial_image_blurred(*masks[w], opt, defocus_nm, blur_sigma_nm,
                                     source, imaging);

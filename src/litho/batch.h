@@ -17,12 +17,12 @@
 //
 // Scratch ownership: one ScratchArena per worker thread.  The arena owns
 // every buffer the batched chain touches (grow-only, so steady-state
-// batches perform zero heap allocations) plus the persistent upsample
-// spectrum for the scalar SOCS path — the former thread_local
-// UpsampleScratch in imaging.cpp now lives here.  Workers
-// reach their arena via tls_scratch_arena(); the engine entry points take
-// the arena as an explicit parameter so tests (and future backends) can
-// supply their own.
+// batches perform zero heap allocations), the lane buffers of the Abbe
+// engine (whose transforms run several rows, columns or source points per
+// pass within one window), and the persistent upsample spectrum for the
+// scalar SOCS path.  Workers reach their arena via tls_scratch_arena(); the
+// engine entry points take the arena as an explicit parameter so tests
+// (and future backends) can supply their own.
 #pragma once
 
 #include <array>
@@ -35,10 +35,11 @@
 
 namespace poc {
 
-/// Per-worker scratch for the batched imaging chain.  All buffers grow and
-/// never shrink; the scalar path's persistent upsample spectrum additionally
-/// keeps its contents between calls (only a geometry change re-zeroes it,
-/// exactly like the old thread_local scratch it replaced).
+/// Per-worker scratch for the batched SOCS chain and the Abbe engine (which
+/// reuse the same slots; sizes below are the SOCS batch's, lanes = window
+/// lanes).  All buffers grow and never shrink; the scalar SOCS path's
+/// persistent upsample spectrum additionally keeps its contents between
+/// calls (only a geometry change re-zeroes it).
 class ScratchArena {
  public:
   enum Slot : std::size_t {
@@ -53,6 +54,8 @@ class ScratchArena {
     kCoarseIm,  ///< Coarse intensity spectrum, ncx * ncy * lanes.
     kUpWorkRe,  ///< Upsample band spectrum, consumed in place, nbu*ny*lanes.
     kUpWorkIm,  ///< Upsample band spectrum, consumed in place, nbu*ny*lanes.
+    kColRe,     ///< One full-height lane column (Abbe), ny * lanes.
+    kColIm,     ///< One full-height lane column (Abbe), ny * lanes.
     kSlotCount
   };
 
@@ -97,9 +100,9 @@ ScratchArena& tls_scratch_arena();
 /// Images a batch of same-shape, same-pixel masks under one configuration,
 /// returning per-mask blurred aerial images in batch order.  kSocs runs the
 /// SoA batched chain (bit-identical per lane to the scalar path); kAbbe
-/// falls back to per-mask scalar calls in ascending order (the reference
-/// path stays untouched).  Masks may have different origins; each output
-/// inherits its mask's origin.
+/// images the masks one at a time in ascending order, each through the
+/// engine's own in-window lanes.  Masks may have different origins; each
+/// output inherits its mask's origin.
 std::vector<Image2D> aerial_image_blurred_batch(
     const Image2D* const* masks, std::size_t count, const OpticalSettings& opt,
     double defocus_nm, double blur_sigma_nm,

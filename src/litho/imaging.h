@@ -6,7 +6,10 @@
 //    intensities accumulate with the source weights.  This retains true
 //    partial coherence (iso/dense bias, line-end pullback, forbidden
 //    pitches) that a single-kernel convolution model cannot reproduce —
-//    see DESIGN.md ablation 1.
+//    see DESIGN.md ablation 1.  Each window's transforms run four rows,
+//    columns or source points at a time through the SoA FFT lanes, bit for
+//    bit the same as transforming one span at a time (DESIGN.md "In-window
+//    lanes (Abbe)").
 //
 //  - SOCS (sum of coherent systems, the fast path): the Hopkins TCC built
 //    from the same source and pupil is eigendecomposed once per (optics,
@@ -14,8 +17,9 @@
 //    (src/litho/tcc.h); each window is then imaged as an index-ordered sum
 //    of lambda_k |kernel_k * mask|^2 with K << S transforms, plus packed
 //    real-input/real-output band transforms the reference path cannot use
-//    (it must stay bit-identical to the goldens).  See DESIGN.md ablation 8
-//    for the K vs CD-error vs speed trade.
+//    (they round differently, and the reference must stay bit-identical to
+//    the goldens).  See DESIGN.md ablation 8 for the K vs CD-error vs speed
+//    trade.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +48,8 @@ struct ImagingOptions {
   ImagingMode mode = ImagingMode::kAbbe;
   SocsOptions socs;
   /// Windows per SoA batch in the flow hot loops (SOCS windows only; the
-  /// Abbe reference path never batches).  0 disables batching entirely;
-  /// kBatchWindowsAuto follows the parallel chunk size.  Purely a
+  /// Abbe engine's lanes stay within one window).  0 disables batching
+  /// entirely; kBatchWindowsAuto follows the parallel chunk size.  Purely a
   /// performance knob: every batch size produces bit-identical results, so
   /// this field is deliberately EXCLUDED from cache and journal
   /// fingerprints (flow.cpp hash_imaging; enforced by test).

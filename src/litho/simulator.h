@@ -69,7 +69,7 @@ class LithoSimulator {
 
   /// latent() for a batch of same-shape pre-rasterized masks: images all
   /// `count` masks through the batched SoA engine (SOCS; the Abbe reference
-  /// falls back to per-mask scalar calls inside the batch layer) and
+  /// images the masks one at a time inside the batch layer) and
   /// finishes each in ascending batch order.  Element w is bit-identical to
   /// latent() over the features that rasterized masks[w] — batching never
   /// changes values, only amortizes the transforms.  Scratch comes from

@@ -259,7 +259,8 @@ std::vector<OpcResult> OpcEngine::correct_batch(const OpcBatchJob* jobs,
           latents[members[m]] = std::move(batch[m]);
         }
       } else {
-        // Abbe phases stay on the untouched scalar reference path.
+        // Abbe phases image window by window (the engine runs its lanes
+        // within each window, not across them).
         for (std::size_t j : members) {
           latents[j] = sim_->latent(results[j].mask_rects(), jobs[j].window,
                                     nominal, keys[g].q, ImagingMode::kAbbe);

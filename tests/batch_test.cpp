@@ -2,8 +2,9 @@
 // bit-identity of every lane against the scalar SOCS path across batch
 // sizes, kernel branches (parity-packed and generic), blur settings and
 // window origins; arena reuse across geometry changes; the Abbe fallback;
-// and the zero-allocation guarantee of a warm batched inner loop (the
-// allocation probe in src/common/alloc_probe.h counts operator-new calls).
+// the zero-allocation guarantee of a warm batched inner loop, and the
+// one-allocation (its result) bound of a warm Abbe call (the allocation
+// probe in src/common/alloc_probe.h counts operator-new calls).
 #include <cstring>
 #include <vector>
 
@@ -197,6 +198,29 @@ TEST(BatchSocs, WarmInnerLoopPerformsZeroHeapAllocations) {
   for (std::size_t w = 0; w < out.size(); ++w) {
     EXPECT_TRUE(bit_equal(out[w], ref[w]));
   }
+}
+
+TEST(AbbeLanes, WarmCallAllocatesOnlyItsResult) {
+  // The Abbe engine takes every lane buffer from the calling thread's
+  // arena, so once the arena and the pupil/twiddle memos are warm a call
+  // allocates exactly the Image2D it returns — no per-call full-grid
+  // spectrum, field or transpose buffers.
+  const std::vector<Image2D> masks =
+      make_masks(1, Rect{-900, -700, 990, 700}, 8.0);
+  const OpticalSettings opt;
+  const std::vector<SourcePoint> source = sample_source(opt);
+  const Image2D warm =
+      aerial_image_blurred(masks[0], opt, 0.0, 22.0, source, ImagingOptions{});
+  std::size_t allocations = 0;
+  Image2D again;
+  {
+    alloc_probe::Scope probe;
+    again = aerial_image_blurred(masks[0], opt, 0.0, 22.0, source,
+                                 ImagingOptions{});
+    allocations = probe.count();
+  }
+  EXPECT_LE(allocations, 1u);
+  EXPECT_TRUE(bit_equal(again, warm));
 }
 
 TEST(AllocProbe, CountsThisThreadsAllocations) {

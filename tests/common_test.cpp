@@ -121,32 +121,6 @@ TEST(Fft, FreqIndexSignedMapping) {
   EXPECT_EQ(fft_freq_index(7, 8), -1);
 }
 
-TEST(Fft, BandForwardBitIdenticalInBand) {
-  // The band-limited forward pass must agree with the full transform bit
-  // for bit at every |kx| <= kx_max column (the Abbe path relies on this to
-  // keep the golden results unchanged).
-  Rng rng(7);
-  const std::size_t nx = 32, ny = 16, kx_max = 5;
-  std::vector<Cplx> full(nx * ny), band(nx * ny);
-  for (std::size_t i = 0; i < nx * ny; ++i) {
-    full[i] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    band[i] = full[i];
-  }
-  fft_2d(full, nx, ny, false);
-  fft_2d_band_forward(band, nx, ny, kx_max);
-  for (std::size_t y = 0; y < ny; ++y) {
-    for (std::size_t x = 0; x < nx; ++x) {
-      const long long kx = fft_freq_index(x, nx);
-      if (kx < 0 ? -kx > static_cast<long long>(kx_max)
-                 : kx > static_cast<long long>(kx_max)) {
-        continue;
-      }
-      EXPECT_EQ(band[y * nx + x].real(), full[y * nx + x].real());
-      EXPECT_EQ(band[y * nx + x].imag(), full[y * nx + x].imag());
-    }
-  }
-}
-
 TEST(Fft, BandInverseMatchesFullOnBandLimitedSpectrum) {
   Rng rng(11);
   const std::size_t nx = 32, ny = 16, kx_max = 5;

@@ -2,16 +2,22 @@
 // imaging normalization/symmetry, partial-coherence behaviours the flow
 // depends on (iso-dense bias, defocus contrast loss, dose sensitivity) and
 // the resist model.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <numbers>
 
 #include <gtest/gtest.h>
 
 #include "src/cdx/contour.h"
 #include "src/common/check.h"
 #include "src/common/fft.h"
+#include "src/common/rng.h"
 #include "src/litho/imaging.h"
 #include "src/litho/mask.h"
 #include "src/litho/optics.h"
+#include "src/litho/pupil_cache.h"
 #include "src/litho/resist.h"
 #include "src/litho/simulator.h"
 
@@ -274,6 +280,154 @@ TEST(Imaging, BlurredVariantMatchesSeparateBlur) {
     worst = std::max(worst, std::abs(a.data()[i] - b.data()[i]));
   }
   EXPECT_LT(worst, 1e-6);
+}
+
+/// Frozen copy of the scalar Abbe engine the lane-parallel one replaced,
+/// built only from public fft_2d and pupil_tables: full-grid forward
+/// transform, per source point a zero-filled coarse field + full inverse +
+/// std::norm accumulate, then a full-grid upsample inverse with the fused
+/// blur exponent.  aerial_image_blurred (kAbbe) must match it bit for bit.
+Image2D frozen_scalar_abbe(const Image2D& mask, const OpticalSettings& opt,
+                           double defocus_nm, double blur_sigma_nm,
+                           const std::vector<SourcePoint>& source) {
+  const std::size_t nx = mask.nx();
+  const std::size_t ny = mask.ny();
+  const double dfx = 1.0 / (static_cast<double>(nx) * mask.pixel());
+  const double dfy = 1.0 / (static_cast<double>(ny) * mask.pixel());
+  const double reach = opt.cutoff_freq() * (1.0 + opt.sigma_outer) * 1.001;
+  const long long kx_max = std::min<long long>(
+      static_cast<long long>(nx) / 2 - 1,
+      static_cast<long long>(reach / dfx) + 1);
+  const long long ky_max = std::min<long long>(
+      static_cast<long long>(ny) / 2 - 1,
+      static_cast<long long>(reach / dfy) + 1);
+  const std::size_t ncx = std::min(
+      nx, next_pow2(static_cast<std::size_t>(4 * kx_max + 2)));
+  const std::size_t ncy = std::min(
+      ny, next_pow2(static_cast<std::size_t>(4 * ky_max + 2)));
+  const SpectralGrid grid{dfx, dfy, kx_max, ky_max};
+  const auto at = [](long long kx, long long ky, std::size_t w,
+                     std::size_t h) {
+    const std::size_t ix = kx >= 0 ? static_cast<std::size_t>(kx)
+                                   : w - static_cast<std::size_t>(-kx);
+    const std::size_t iy = ky >= 0 ? static_cast<std::size_t>(ky)
+                                   : h - static_cast<std::size_t>(-ky);
+    return iy * w + ix;
+  };
+
+  std::vector<Cplx> spectrum(nx * ny);
+  for (std::size_t i = 0; i < nx * ny; ++i) spectrum[i] = mask.data()[i];
+  fft_2d(spectrum, nx, ny, /*inverse=*/false);
+
+  std::vector<double> intensity(ncx * ncy, 0.0);
+  std::vector<Cplx> field(ncx * ncy);
+  const double crop_scale = static_cast<double>(ncx) *
+                            static_cast<double>(ncy) /
+                            (static_cast<double>(nx) * static_cast<double>(ny));
+  const auto pupils = pupil_tables(opt, source, defocus_nm, grid);
+  for (std::size_t s = 0; s < source.size(); ++s) {
+    std::fill(field.begin(), field.end(), Cplx(0.0, 0.0));
+    std::size_t idx = 0;
+    for (long long ky = -ky_max; ky <= ky_max; ++ky) {
+      for (long long kx = -kx_max; kx <= kx_max; ++kx) {
+        const Cplx p = pupils->tables[s][idx++];
+        if (p == Cplx(0.0, 0.0)) continue;
+        field[at(kx, ky, ncx, ncy)] =
+            spectrum[at(kx, ky, nx, ny)] * p * crop_scale;
+      }
+    }
+    fft_2d(field, ncx, ncy, /*inverse=*/true);
+    for (std::size_t i = 0; i < ncx * ncy; ++i) {
+      intensity[i] += source[s].weight * std::norm(field[i]);
+    }
+  }
+
+  std::vector<Cplx> coarse(ncx * ncy);
+  for (std::size_t i = 0; i < ncx * ncy; ++i) coarse[i] = intensity[i];
+  fft_2d(coarse, ncx, ncy, /*inverse=*/false);
+  const double up_scale = static_cast<double>(nx) * static_cast<double>(ny) /
+                          (static_cast<double>(ncx) * static_cast<double>(ncy));
+  const double two_pi2_s2 = 2.0 * std::numbers::pi * std::numbers::pi *
+                            blur_sigma_nm * blur_sigma_nm;
+  const long long cx = static_cast<long long>(ncx) / 2 - 1;
+  const long long cy = static_cast<long long>(ncy) / 2 - 1;
+  std::vector<Cplx> full(nx * ny, Cplx(0.0, 0.0));
+  for (long long ky = -cy; ky <= cy; ++ky) {
+    const double fy = static_cast<double>(ky) * dfy;
+    for (long long kx = -cx; kx <= cx; ++kx) {
+      const double fx = static_cast<double>(kx) * dfx;
+      const double blur =
+          blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * (fx * fx + fy * fy))
+                              : 1.0;
+      full[at(kx, ky, nx, ny)] =
+          coarse[at(kx, ky, ncx, ncy)] * (up_scale * blur);
+    }
+  }
+  fft_2d(full, nx, ny, /*inverse=*/true);
+  Image2D out(nx, ny, mask.pixel(), mask.origin_x(), mask.origin_y());
+  for (std::size_t i = 0; i < nx * ny; ++i) out.data()[i] = full[i].real();
+  return out;
+}
+
+/// Random transmission in [0, 1] with runs of exact 0 and 1, like a
+/// rasterized mask's chrome and clear areas.
+Image2D random_mask(std::size_t nx, std::size_t ny, double pixel,
+                    std::uint64_t seed) {
+  Image2D m(nx, ny, pixel, -100.0, 50.0);
+  Rng rng(seed);
+  for (double& v : m.data()) v = std::clamp(rng.uniform(-0.5, 1.5), 0.0, 1.0);
+  return m;
+}
+
+TEST(Imaging, AbbeMatchesFrozenScalarEngineBitForBit) {
+  struct Shape {
+    std::size_t nx, ny;
+    double pixel;
+  };
+  // nx > ny, nx < ny, and a 20 nm grid small enough that the coarse grid
+  // is the whole grid (ncx == nx, ncy == ny).
+  const Shape shapes[] = {{128, 64, 8.0}, {64, 128, 8.0}, {32, 32, 20.0}};
+  // 1 (coherent point), 6 (draft), 16 (standard) and 36 (fine) source
+  // points: full and partial four-source tiles.
+  struct Src {
+    std::size_t rings, spokes;
+    bool coherent;
+  };
+  const Src sources[] = {{1, 1, true}, {1, 6, false}, {2, 8, false},
+                         {3, 12, false}};
+  std::uint64_t seed = 1;
+  for (const Shape& sh : shapes) {
+    const Image2D mask = random_mask(sh.nx, sh.ny, sh.pixel, seed++);
+    for (const Src& src : sources) {
+      for (const bool aberrated : {false, true}) {
+        OpticalSettings opt;
+        opt.source_rings = src.rings;
+        opt.source_spokes = src.spokes;
+        if (src.coherent) opt.sigma_inner = opt.sigma_outer = 0.0;
+        if (aberrated) {
+          opt.z9_spherical_waves = 0.04;
+          opt.z7_coma_x_waves = 0.03;
+        }
+        const std::vector<SourcePoint> source = sample_source(opt);
+        for (const double defocus : {0.0, 120.0}) {
+          for (const double blur : {0.0, 25.0}) {
+            const Image2D want =
+                frozen_scalar_abbe(mask, opt, defocus, blur, source);
+            const Image2D got = aerial_image_blurred(
+                mask, opt, defocus, blur, source, ImagingOptions{});
+            ASSERT_EQ(got.nx(), want.nx());
+            ASSERT_EQ(got.ny(), want.ny());
+            EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                  want.data().size() * sizeof(double)),
+                      0)
+                << sh.nx << "x" << sh.ny << " sources=" << source.size()
+                << " aberrated=" << aberrated << " defocus=" << defocus
+                << " blur=" << blur;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Resist, BlurPreservesMeanReducesPeak) {
