@@ -12,7 +12,6 @@
 #include "src/cdx/cd_extract.h"
 #include "src/common/fft.h"
 #include "src/geom/polygon_ops.h"
-#include "src/litho/batch.h"
 #include "src/litho/imaging.h"
 #include "src/litho/mask.h"
 #include "src/opc/opc_engine.h"
@@ -91,6 +90,27 @@ void BM_AerialImageSocs(benchmark::State& state) {
 }
 BENCHMARK(BM_AerialImageSocs)->Arg(1)->Arg(2)->Arg(3);
 
+void BM_AerialImageSocsSignoff(benchmark::State& state) {
+  // The SOCS twin of BM_AerialImageSignoff: the same 512x512 grid at 8 nm
+  // and 16-point source, at nominal focus (parity-packed kernel pairs) and
+  // at Arg nm of defocus (generic complex kernels).
+  std::vector<Rect> lines;
+  for (int k = -7; k <= 7; ++k) lines.push_back({k * 250, -1700, k * 250 + 90, 1700});
+  const Image2D mask = rasterize_mask(lines, {-1900, -1900, 1990, 1900}, 8.0);
+  const OpticalSettings opt;  // 2 rings x 8 spokes
+  const std::vector<SourcePoint> source = sample_source(opt);
+  const double defocus_nm = static_cast<double>(state.range(0));
+  const ImagingOptions imaging{ImagingMode::kSocs, SocsOptions{}};
+  state.SetLabel(std::to_string(mask.nx()) + "x" + std::to_string(mask.ny()) +
+                 " S=" + std::to_string(source.size()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        aerial_image_blurred(mask, opt, defocus_nm, 25.0, source, imaging));
+  }
+}
+BENCHMARK(BM_AerialImageSocsSignoff)->Arg(0)->Arg(30)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_AerialImageSocsKernels(benchmark::State& state) {
   // Kernel-budget sweep at quality 3 (S = 24 source points): wall time vs
   // max_kernels, with the CD deviation from Abbe recorded in the label so
@@ -142,26 +162,8 @@ void BM_AerialImageSocsKernels(benchmark::State& state) {
 BENCHMARK(BM_AerialImageSocsKernels)
     ->Arg(4)->Arg(8)->Arg(12)->Arg(16)->Arg(24);
 
-void BM_Fft2DBatched(benchmark::State& state) {
-  // Lane-batched SoA transform vs BM_Fft2D: same 256x256 size, 8 lanes per
-  // pass; per-transform time is time / lanes.
-  const std::size_t n = 256;
-  const std::size_t lanes = 8;
-  std::vector<double> re(n * n * lanes), im(n * n * lanes);
-  Rng rng(1);
-  for (auto& v : re) v = rng.uniform();
-  for (auto _ : state) {
-    fft_2d_soa(re.data(), im.data(), n, n, false, lanes);
-    fft_2d_soa(re.data(), im.data(), n, n, true, lanes);
-    benchmark::DoNotOptimize(re.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(lanes));
-}
-BENCHMARK(BM_Fft2DBatched);
-
-/// Fine-quality SOCS conditions shared by the scalar/batched pair below:
-/// kFine pixel (5 nm) and source sampling (3 rings x 12 spokes).
+/// Fine-quality SOCS conditions for BM_AerialImageSocsFine below: kFine
+/// pixel (5 nm) and source sampling (3 rings x 12 spokes).
 struct FineSocsFixture {
   std::vector<Image2D> masks;
   OpticalSettings opt;
@@ -184,7 +186,7 @@ struct FineSocsFixture {
 };
 
 void BM_AerialImageSocsFine(benchmark::State& state) {
-  // Scalar SOCS per-window baseline at fine quality (the PR6 path).
+  // SOCS per window at fine quality, cycling through distinct masks.
   const FineSocsFixture fx(4);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -196,35 +198,6 @@ void BM_AerialImageSocsFine(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_AerialImageSocsFine);
-
-void BM_AerialImageSocsBatched(benchmark::State& state) {
-  // Batched SoA engine at the same fine-quality conditions; Arg is the
-  // batch size (window lanes per pass).  Per-window time is time / batch;
-  // the label asserts lane 0 of the batch stayed bit-identical to scalar.
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const FineSocsFixture fx(batch);
-  std::vector<const Image2D*> ptrs;
-  for (const Image2D& m : fx.masks) ptrs.push_back(&m);
-  ScratchArena arena;
-  std::vector<Image2D> out(batch);
-  aerial_image_blurred_socs_batch(ptrs.data(), batch, fx.opt, 0.0, 25.0,
-                                  fx.source, fx.imaging.socs, arena,
-                                  out.data());
-  const Image2D ref = aerial_image_blurred(fx.masks[0], fx.opt, 0.0, 25.0,
-                                           fx.source, fx.imaging);
-  const bool identical =
-      ref.data() == out[0].data() && ref.nx() == out[0].nx();
-  state.SetLabel(identical ? "batched_identical=1" : "batched_identical=0");
-  for (auto _ : state) {
-    aerial_image_blurred_socs_batch(ptrs.data(), batch, fx.opt, 0.0, 25.0,
-                                    fx.source, fx.imaging.socs, arena,
-                                    out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_AerialImageSocsBatched)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_OpcWindow(benchmark::State& state) {
   const LithoSimulator sim;

@@ -183,43 +183,6 @@ int main() {
     std::printf("%s", socs_table.render().c_str());
   }
 
-  bench::section(
-      "Batched SoA imaging: e2e opc+extract (inv_chain64, SOCS, cache off)");
-  {
-    // The batched engine's e2e dividend: the same full-SOCS flow with the
-    // hot loops handing each worker chunk to the SoA engine whole
-    // (batch=auto) vs the scalar per-window loop (batch=0).  The annotated
-    // WS must agree exactly — batch width is a pure performance knob.
-    PlacedDesign design = make_inv_chain64();
-    Table batch_table(
-        {"batch", "opc+extract wall (ms)", "speedup", "annot WS"});
-    double scalar_ms = 0.0;
-    for (const bool batched : {false, true}) {
-      FlowOptions fopt;
-      fopt.sta.max_paths = 16;
-      fopt.cache.enabled = false;
-      fopt.imaging.mode = ImagingMode::kSocs;
-      fopt.imaging.batch_windows = batched ? kBatchWindowsAuto : 0;
-      PostOpcFlow flow = bench::make_flow(design, 0.12, fopt);
-      double annot_ws = 0.0;
-      const double ms = bench::wall_ms([&] {
-        flow.run_opc(OpcMode::kModelBased);
-        const auto ext = flow.extract({});
-        const auto ann = flow.annotate(ext);
-        annot_ws = flow.run_sta(&ann).worst_slack;
-      });
-      if (!batched) scalar_ms = ms;
-      batch_table.add_row({batched ? "auto" : "off", Table::num(ms, 1),
-                           Table::num(scalar_ms / ms, 2),
-                           Table::num(annot_ws, 9)});
-      // Greppable proof line consumed by scripts/bench.sh.
-      std::printf("BATCH_BENCH name=%s batch=%s wall_ms=%.3f ws=%.9f\n",
-                  design.netlist.name().c_str(), batched ? "auto" : "off",
-                  ms, annot_ws);
-    }
-    std::printf("%s", batch_table.render().c_str());
-  }
-
   bench::section("Fault containment: fault-free overhead (inv_chain64, cache off)");
   {
     // Containment wraps every hot-loop window in a retry scope and a few

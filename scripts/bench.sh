@@ -29,27 +29,6 @@
 #                     perturbations, identical worst slack asserted by the
 #                     bench itself) — the PR6 acceptance number is >= 5x
 #                     for <= 8-gate perturbations on inv_chain64
-#   - batch_bench / batch_e2e_speedup / batched_ws_identical: BATCH_BENCH
-#                     rows (scalar vs batched SoA hot loops over the same
-#                     full-SOCS flow) — the annotated WS must be exactly
-#                     equal (batch width is a pure performance knob)
-#   - batch_per_window_speedup / batch_speedup_in_binary: BM_AerialImageSocsFine
-#                     over BM_AerialImageSocsBatched/N per-window time,
-#                     both measured in the current binary (where the scalar
-#                     lane ALSO has the PR7 loop rewrites + kernel flags)
-#   - scalar_lane_uplift: BM_AerialImageSocs/3 from the committed
-#                     BENCH_PR6.json over the same row now — what the PR7
-#                     scalar-lane rewrite alone bought on the identical
-#                     fixture
-#   - batch_speedup:  the PR7 acceptance headline, >= 2x per-window at
-#                     fine quality vs the PR6 scalar SOCS path =
-#                     batch_speedup_in_binary * scalar_lane_uplift.  This
-#                     derivation is conservative: a direct probe (PR6
-#                     commit rebuilt in a scratch worktree, same fine
-#                     fixture, same host) measured 14.1 ms/window vs the
-#                     batched 5.2 ms/window = 2.7x, while the q=3
-#                     standard-window uplift used here underestimates the
-#                     fine-fixture uplift (1.36x vs 1.72x measured)
 #   - fault_overhead_ok: fault_overhead_pct <= 2.0 — the acceptance band
 #                     that closes the BENCH_PR5 11.8 % watch item.  A local
 #                     run only warns (single-vCPU hosts are noisy); the CI
@@ -401,15 +380,6 @@ awk '
     jms[v["journal"]] = v["wall_ms"]
     jws[v["journal"]] = v["ws"]
   }
-  /^BATCH_BENCH / {
-    for (i = 2; i <= NF; ++i) { split($i, kv, "="); v[kv[1]] = kv[2] }
-    row = sprintf("    {\"name\": \"%s_batch_%s\", \"real_time\": %s, " \
-                  "\"time_unit\": \"ms\", \"annot_ws_ps\": %s}",
-                  v["name"], v["batch"], v["wall_ms"], v["ws"])
-    brows = brows (brows == "" ? "" : ",\n") row
-    bms[v["batch"]] = v["wall_ms"]
-    bws[v["batch"]] = v["ws"]
-  }
   /^INCR_BENCH / {
     for (i = 2; i <= NF; ++i) { split($i, kv, "="); v[kv[1]] = kv[2] }
     key = v["name"] "_k" v["k"]
@@ -438,13 +408,6 @@ awk '
         printf "  \"fault_overhead_ok\": %s,\n", (pct <= 2.0) ? "true" : "false"
       }
       printf "  \"fault_ws_identical\": %s,\n", (fws["on"] == fws["off"]) ? "true" : "false"
-    }
-    if (brows != "") {
-      printf "  \"batch_bench\": [\n%s\n  ],\n", brows
-      if (bms["off"] > 0 && bms["auto"] > 0)
-        printf "  \"batch_e2e_speedup\": %.3f,\n", bms["off"] / bms["auto"]
-      printf "  \"batched_ws_identical\": %s,\n", \
-             (bws["auto"] == bws["off"]) ? "true" : "false"
     }
     if (jrows != "") {
       printf "  \"journal_bench\": [\n%s\n  ],\n", jrows
@@ -479,13 +442,7 @@ awk '
 # followed by the per-quality Abbe-over-SOCS aerial-image speedups.
 # google-benchmark prints "label" after "time_unit", so a record is only
 # complete when the next "name" (or EOF) arrives — flush there.
-#
-# The PR6 scalar-SOCS baseline row (same BM_AerialImageSocs/3 fixture)
-# comes from the committed BENCH_PR6.json so the batch_speedup headline
-# can be stated against the pre-rewrite scalar lane.
-PR6_SOCS3=$(sed -n 's/.*"BM_AerialImageSocs\/3", "real_time": \([0-9.e+-]*\).*/\1/p' \
-    BENCH_PR6.json 2>/dev/null | head -1)
-awk -v pr6_socs3="${PR6_SOCS3:-0}" '
+awk '
   function flush_row() {
     if (name == "") return
     row = sprintf("    {\"name\": \"%s\", \"real_time\": %s, \"time_unit\": \"%s\"",
@@ -495,11 +452,6 @@ awk -v pr6_socs3="${PR6_SOCS3:-0}" '
     rows = rows (rows == "" ? "" : ",\n") row
     if (name ~ /^BM_AerialImage\//)     { q = name; sub(/^.*\//, "", q); abbe[q] = rt }
     if (name ~ /^BM_AerialImageSocs\//) { q = name; sub(/^.*\//, "", q); socs[q] = rt }
-    if (name ~ /^BM_AerialImageSocsFine/) fine = rt
-    if (name ~ /^BM_AerialImageSocsBatched\//) {
-      b = name; sub(/^.*\//, "", b); brt[b] = rt
-      if (label !~ /batched_identical=1/) lanes_differ = 1
-    }
     name = ""; label = ""
   }
   /"run_name":/ || /"aggregate_name":/ { next }
@@ -511,39 +463,6 @@ awk -v pr6_socs3="${PR6_SOCS3:-0}" '
   END {
     flush_row()
     printf "  \"kernels\": [\n%s\n  ],\n", rows
-    # Per-window batched-over-scalar speedup at fine quality: the
-    # BM_AerialImageSocsBatched/N row times a whole batch, so per-window
-    # time is real_time / N.  batch_speedup_in_binary is the best width
-    # against the current (already-rewritten) scalar lane; batch_speedup
-    # — the PR7 acceptance headline, >= 2x — is stated against the PR6
-    # scalar SOCS path by folding in scalar_lane_uplift, the measured
-    # gain of the rewrite itself on the identical BM_AerialImageSocs/3
-    # fixture (see the header comment; a direct PR6-rebuild probe
-    # measured the combined gain higher, 2.7x).  batched_lane_identical
-    # comes from the label every batched row asserts (lane 0 bit-equal
-    # to scalar).
-    if (fine > 0) {
-      printf "  \"batch_per_window_speedup\": {"
-      first = 1
-      best = 0
-      for (b in brt)
-        if (brt[b] > 0) {
-          spd = fine / (brt[b] / b)
-          if (spd > best) best = spd
-          printf "%s\"batch_%s\": %.3f", (first ? "" : ", "), b, spd
-          first = 0
-        }
-      printf "},\n"
-      if (best > 0) {
-        printf "  \"batch_speedup_in_binary\": %.3f,\n", best
-        if (pr6_socs3 > 0 && socs[3] > 0) {
-          uplift = pr6_socs3 / socs[3]
-          printf "  \"scalar_lane_uplift\": %.3f,\n", uplift
-          printf "  \"batch_speedup\": %.3f,\n", best * uplift
-        }
-      }
-      printf "  \"batched_lane_identical\": %s,\n", lanes_differ ? "false" : "true"
-    }
     printf "  \"socs_per_window_speedup\": {"
     first = 1
     for (q = 1; q <= 3; ++q)

@@ -26,7 +26,7 @@ cmake --build build -j "$JOBS"
 echo "== step 2/5: full test suite =="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== step 3/5: TSan build + race tests (par_test, fault_test, run_test, cache_test, socs_test, core_test, sta_incremental_test, determinism_test[batched]) =="
+echo "== step 3/5: TSan build + race tests (par_test, fault_test, run_test, cache_test, socs_test, core_test, sta_incremental_test, determinism_test[engines]) =="
 cmake -B build-tsan -S . -DPOC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target par_test fault_test run_test cache_test socs_test core_test sta_incremental_test determinism_test
 ./build-tsan/tests/par_test
@@ -37,10 +37,10 @@ cmake --build build-tsan -j "$JOBS" --target par_test fault_test run_test cache_
 ./build-tsan/tests/cache_test
 ./build-tsan/tests/socs_test
 ./build-tsan/tests/core_test
-# Batched-vs-scalar determinism at 1 and 4 threads: the chunk-staging
-# slots (per-worker ownership, no locks) must be race-free, and every
-# batch width must reproduce the scalar flow bit for bit.
-./build-tsan/tests/determinism_test --gtest_filter='DeterminismBatch*'
+# Determinism at 1 and 4 threads under Abbe, draft-SOCS and full-SOCS
+# imaging: the per-thread scratch arenas and the process-wide kernel,
+# pupil and twiddle memos must be race-free.
+./build-tsan/tests/determinism_test --gtest_filter='DeterminismEngines*'
 # The incremental-STA equivalence fuzz harness: its 4-thread legs drive the
 # TimingGraph per-level parallel evaluation, so TSan checks the disjoint-
 # slot write contract while the asserts check bit-identity.
@@ -54,8 +54,9 @@ cmake --build build-asan -j "$JOBS" --target litho_test fault_test socs_test cac
 ./build-asan/tests/socs_test
 ./build-asan/tests/cache_test
 ./build-asan/tests/core_test
-# The SoA engine's arena reuse + the warm-loop zero-allocation probe (the
-# probe's operator-new override forwards to malloc, which ASan intercepts).
+# Arena reuse across window shapes (latent_batch over mixed shapes, both
+# engines) + the warm-call allocation probes (the probe's operator-new
+# override forwards to malloc, which ASan intercepts).
 ./build-asan/tests/batch_test
 
 echo "== step 5/5: crash-recovery gate (SIGKILL + resume, bit-identical WS) =="

@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
-# Vectorization gate for the SoA kernel loops.  The batched engine's
-# speedup rests on three inner loops staying autovectorized; each is
-# marked in-source with a `VEC-LOOP(<name>)` comment directly above the
+# Vectorization gate for the SoA kernel loops.  The imaging engines'
+# four-lane speedup rests on three inner loops staying autovectorized; each
+# is marked in-source with a `VEC-LOOP(<name>)` comment directly above the
 # loop:
 #
-#   fft-soa-butterfly   src/common/fft.cpp     lane-batched butterfly
-#   socs-kernel-apply   src/litho/imaging.cpp  per-lane kernel accumulate
-#   blur-scatter        src/litho/imaging.cpp  separable-blur scatter
+#   fft-soa-butterfly   src/common/fft.cpp     four-lane butterfly
+#   socs-kernel-apply   src/litho/imaging.cpp  SOCS per-pixel fold of a
+#                                              kernel pair into the intensity
+#   blur-scatter        src/litho/imaging.cpp  SOCS separable-blur scatter
+#                                              across band-column lanes
 #
 # This script recompiles the two kernel TUs with the same flags the build
 # uses (POC_KERNEL_OPTS in the top-level CMakeLists.txt) plus
 # -fopt-info-vec-optimized, and fails unless the compiler reports a
 # vectorized loop within a few lines below every marker.  A silent
 # regression — a new alias, a reordered field, an accidental
-# loop-carried dependence — turns the 2x batched win back into scalar
+# loop-carried dependence — turns the four-lane win back into scalar
 # code without failing any test; this check is what catches it.
 #
 # Usage: scripts/vectorize_check.sh [c++-compiler]

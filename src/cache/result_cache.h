@@ -133,13 +133,9 @@ class ShardedCache {
   }
 
   /// find() without the bookkeeping: no hit/miss counters, no LRU recency
-  /// refresh.  The batched hot loops probe with peek() while assembling a
-  /// batch (deciding which windows still need computing) and leave the
-  /// authoritative find() to the per-window consumption path, so observable
-  /// cache statistics — and eviction order — match the unbatched loop
-  /// exactly.  With a disk tier attached, a memory miss still consults the
-  /// store (and promotes the entry) so staging skips windows another worker
-  /// already published.
+  /// refresh, so a probe leaves every observable cache statistic — and the
+  /// eviction order — untouched.  With a disk tier attached, a memory miss
+  /// still consults the store (and promotes the entry).
   std::shared_ptr<const Value> peek(const Fingerprint& fp) {
     if (auto hit = find_in_memory(fp, /*refresh=*/false)) return hit;
     return load_from_disk(fp);

@@ -1,6 +1,7 @@
 // Scoped heap-allocation probe: counts operator-new allocations made by the
-// calling thread, used to prove the batched imaging inner loop is
-// allocation-free once its ScratchArena is warm (see tests/batch_test.cpp).
+// calling thread, used to prove a warm imaging call allocates nothing but
+// the image it returns once its ScratchArena is warm (see
+// tests/batch_test.cpp).
 //
 // Instrumentation comes from the global operator new/delete overrides in
 // alloc_probe.cpp, which forward to malloc/free and bump a thread-local

@@ -36,7 +36,9 @@ long long fft_freq_index(std::size_t k, std::size_t n);
 // The SOCS imaging path only ever consumes (or populates) the |kx| <= kx_max
 // corner of a spectrum — the pupil cuts everything beyond the coherent
 // band.  These variants skip the column transforms outside that band.
-// Requires 2*kx_max + 1 <= nx.
+// Requires 2*kx_max + 1 <= nx.  They define the SOCS engine's operation
+// order: its four-lane transforms reproduce them bit for bit, and the
+// frozen scalar engine in tests/litho_test.cpp is built from them.
 
 /// Inverse 2-D FFT of a spectrum that is zero outside the |kx| <= kx_max
 /// columns.  Runs the column pass first (only the nonzero columns), then
@@ -59,17 +61,17 @@ std::vector<double> irfft_2d_band(const std::vector<Cplx>& spec,
                                   std::size_t nx, std::size_t ny,
                                   std::size_t kx_max);
 
-// --- Batched structure-of-arrays transforms ------------------------------
+// --- Lane-parallel structure-of-arrays transforms -------------------------
 //
-// The batched window engine (src/litho/batch.h) advances W independent
-// same-size transforms in lockstep.  Data lives in split real/imaginary
-// double planes, lane-innermost: element e of lane (window) w sits at
+// The imaging engines (src/litho/imaging.cpp) advance four independent
+// same-size spans of one window in lockstep.  Data lives in split
+// real/imaginary double planes, lane-innermost: element e of lane w sits at
 // re[e * stride + w], with `stride` >= lanes so elements never overlap.
-// Each lane executes exactly the scalar fft_span operation sequence — the
+// Each lane executes exactly the scalar fft_1d operation sequence — the
 // same butterflies against the same shared twiddle tables, in the same
-// order — so lane w's values are bit-identical to running the scalar
-// transform on window w alone.  Batching only widens each scalar operation
-// across lanes; it never reorders or fuses floating-point work.
+// order — so lane w's values are bit-identical to transforming span w
+// alone.  Lanes only widen each scalar operation; they never reorder or
+// fuse floating-point work.
 
 #if defined(__GNUC__) || defined(__clang__)
 #define POC_RESTRICT __restrict__
@@ -87,53 +89,5 @@ void fft_soa(double* re, double* im, std::size_t n, bool inverse,
 /// c = kx_max+1..2*kx_max covers kx = -kx_max..-1.
 std::size_t band_column_storage(std::size_t c, std::size_t nx,
                                 std::size_t kx_max);
-
-/// Batched rfft_2d_band: forward transform of `lanes` real images (lane w's
-/// nx*ny row-major data at in[w]) into compact band spectra stored
-/// column-major: band column c (for_band_columns order), spectral row y,
-/// lane w at spec_re[(c * ny + y) * lanes + w].  row_re/row_im are caller
-/// scratch of nx * lanes doubles each.  Per lane bit-identical to the
-/// scalar rfft_2d_band restricted to the band columns.
-void rfft_2d_band_soa(const double* const* in, std::size_t lanes,
-                      std::size_t nx, std::size_t ny, std::size_t kx_max,
-                      double* spec_re, double* spec_im, double* row_re,
-                      double* row_im);
-
-/// Batched fft_2d_band_inverse over full-grid SoA fields (element (x, y) of
-/// lane w at re[(y * nx + x) * lanes + w]): band columns first, then every
-/// row — the scalar band-inverse operation order, per lane.
-void fft_2d_band_inverse_soa(double* re, double* im, std::size_t nx,
-                             std::size_t ny, std::size_t kx_max,
-                             std::size_t lanes);
-
-/// Batched fft_2d over full-grid SoA data: rows then columns, mirroring the
-/// scalar transform (whose transpose trick changes layout, not operation
-/// order) — per lane bit-identical to fft_2d.
-void fft_2d_soa(double* re, double* im, std::size_t nx, std::size_t ny,
-                bool inverse, std::size_t lanes);
-
-/// Batched irfft_2d_band of compact band spectra (layout as produced by
-/// rfft_2d_band_soa, band of nb = 2*kx_max+1 columns) into real images: lane
-/// w's nx*ny result written to out[w].  The spectra are left untouched (the
-/// column pass gathers into work_re/work_im, nb * ny * lanes doubles each),
-/// so persistent spectra buffers survive across calls exactly like the
-/// scalar path's.  row_re/row_im are caller scratch of nx * lanes doubles
-/// each.  Per lane bit-identical to the scalar irfft_2d_band.
-void irfft_2d_band_soa(const double* spec_re, const double* spec_im,
-                       std::size_t lanes, std::size_t nx, std::size_t ny,
-                       std::size_t kx_max, double* work_re, double* work_im,
-                       double* row_re, double* row_im, double* const* out);
-
-/// Destructive variant: the band spectrum arrives directly in
-/// work_re/work_im (nb * ny * lanes doubles each) and is consumed in place,
-/// skipping irfft_2d_band_soa's defensive copy — at fine quality that copy
-/// streams several MiB per call through L2 for nothing when the caller
-/// rebuilds every spectrum entry before each call anyway.  Same operation
-/// order as irfft_2d_band_soa, so per lane bit-identical.
-void irfft_2d_band_soa_inplace(double* work_re, double* work_im,
-                               std::size_t lanes, std::size_t nx,
-                               std::size_t ny, std::size_t kx_max,
-                               double* row_re, double* row_im,
-                               double* const* out);
 
 }  // namespace poc

@@ -14,7 +14,6 @@
 #include "src/common/log.h"
 #include "src/common/serialize.h"
 #include "src/geom/polygon_ops.h"
-#include "src/litho/batch.h"
 #include "src/opc/rule_opc.h"
 #include "src/par/thread_pool.h"
 
@@ -119,78 +118,6 @@ LithoSimulator with_abbe(const LithoSimulator& sim) {
   LithoSimulator out = sim;
   out.set_imaging(im);
   return out;
-}
-
-// ---- Batched window staging (see "Batched window execution", DESIGN.md) ----
-//
-// The hot loops hand parallel_for a chunk equal to the SoA batch width, and
-// the worker that owns a chunk stages it whole at the chunk's first index:
-// probe journal and cache, batch-image only the windows that would actually
-// compute, park the results in per-index slots, then let the unchanged
-// per-index body consume them.  Staged results are bit-identical to the
-// scalar computations they replace, so everything downstream — cache
-// insertion order within the chunk, journal payloads, containment — is
-// exactly the unbatched loop's.  Staging is best-effort: any staging
-// failure just clears the slots and the per-index body recomputes scalar,
-// under its own fault scope.
-
-/// What batch_windows = kBatchWindowsAuto resolves to — and therefore the
-/// parallel chunk size of a batching hot loop ("auto = par chunk size").
-/// Two full kTileLanes vectors wide: enough to amortize pack/unpack and
-/// keep the work-stealing granularity reasonable on small designs.
-constexpr std::size_t kAutoBatchWindows = 8;
-
-std::size_t resolved_batch(const ImagingOptions& im) {
-  if (im.batch_windows == kBatchWindowsAuto) return kAutoBatchWindows;
-  return std::max<std::size_t>(im.batch_windows, 1);
-}
-
-/// Batching engages only for the SOCS engine (the Abbe reference runs its
-/// lanes within a window, never across windows) and only without an
-/// active fault plan: injected faults are
-/// attributed to one (domain, index), which a joint batch computation
-/// cannot honor, so the fault harness always sees the scalar loop.
-bool batching_enabled(const LithoSimulator& sim) {
-  return sim.imaging().batch_windows != 0 &&
-         sim.imaging().mode == ImagingMode::kSocs && !fault::enabled();
-}
-
-/// Hot-loop chunk size: the batch width when batching, else today's 1.
-std::size_t loop_chunk(const LithoSimulator& sim) {
-  return batching_enabled(sim) ? resolved_batch(sim.imaging()) : 1;
-}
-
-/// OPC window cache key (see opc_window_impl) — factored out so the batch
-/// staging pass can probe without running the window.
-Fingerprint opc_cache_fp(OpcMode mode, const Rect& window,
-                         const std::vector<Polygon>& targets,
-                         const Point& anchor, const LithoSimulator& sim,
-                         const OpcOptions& opc_options) {
-  FpHasher h;
-  h.str("opc").u64(static_cast<std::uint64_t>(mode));
-  h.i64(window.width()).i64(window.height());
-  hash_sim(h, sim);
-  hash_opc_options(h, opc_options);
-  h.polys(targets, anchor);
-  return h.digest();
-}
-
-/// Latent-image cache key (see latent_for_window) — ditto.
-Fingerprint latent_window_fp(const LithoSimulator& sim,
-                             const std::vector<Rect>& mask,
-                             const Rect& window, const Exposure& exposure,
-                             LithoQuality quality) {
-  const Point anchor{window.xlo, window.ylo};
-  FpHasher h;
-  h.str("latent");
-  hash_optics(h, sim.optics());
-  hash_imaging(h, sim.imaging());
-  h.f64(sim.resist().diffusion_nm);
-  hash_exposure(h, exposure);
-  h.u64(static_cast<std::uint64_t>(quality));
-  h.i64(window.width()).i64(window.height());
-  h.rects(mask, anchor);
-  return h.digest();
 }
 
 // ---- Run-journal payload codecs --------------------------------------------
@@ -870,15 +797,14 @@ std::size_t PostOpcFlow::threads() const {
 }
 
 PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window(std::size_t instance,
-                                                     OpcMode mode,
-                                                     OpcResult* staged) const {
+                                                     OpcMode mode) const {
   return opc_window_impl(instance, mode, sim_, options_.opc,
-                         /*use_cache=*/true, staged);
+                         /*use_cache=*/true);
 }
 
 PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window_impl(
     std::size_t instance, OpcMode mode, const LithoSimulator& sim,
-    const OpcOptions& opc_options, bool use_cache, OpcResult* staged) const {
+    const OpcOptions& opc_options, bool use_cache) const {
   OpcWindowResult out;
   const Instance& inst = design_->layout.instance(instance);
   const Rect boundary =
@@ -896,7 +822,13 @@ PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window_impl(
   const Point anchor{window.xlo, window.ylo};
   Fingerprint fp;
   if (cache) {
-    fp = opc_cache_fp(mode, window, targets, anchor, sim, opc_options);
+    FpHasher h;
+    h.str("opc").u64(static_cast<std::uint64_t>(mode));
+    h.i64(window.width()).i64(window.height());
+    hash_sim(h, sim);
+    hash_opc_options(h, opc_options);
+    h.polys(targets, anchor);
+    fp = h.digest();
     if (const auto hit = caches_->opc.find(fp)) {
       out.mask.reserve(hit->mask.size());
       for (const Rect& r : hit->mask) out.mask.push_back(r.translated(anchor));
@@ -929,13 +861,8 @@ PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window_impl(
       break;
     }
     case OpcMode::kModelBased: {
-      // A staged result comes from the batched pass and is bit-identical to
-      // what correct() would return here; consume it instead of re-running
-      // the engine.
       OpcEngine engine(sim, opc_options);
-      const OpcResult result =
-          staged != nullptr ? std::move(*staged)
-                            : engine.correct(targets, window);
+      const OpcResult result = engine.correct(targets, window);
       out.mask = result.mask_rects();
       ++out.stats.model_based_windows;
       out.stats.fragments += result.fragments.size();
@@ -1023,68 +950,12 @@ void PostOpcFlow::run_opc_windows(
     journal_->append(std::move(rec));
   };
 
-  // Batched staging: the worker owning a chunk runs the model-based windows
-  // that would actually compute (journal and cache misses) through the
-  // lockstep correct_batch, then the unchanged per-instance bodies consume
-  // the parked, bit-identical results.  Best-effort: any staging failure
-  // falls back to the scalar engine under the window's own fault scope.
-  const std::size_t chunk = loop_chunk(sim_);
-  const bool batching = batching_enabled(sim_);
-  std::vector<std::unique_ptr<OpcResult>> staged(n);
-  const auto stage_chunk = [&](std::size_t first) {
-    const ChunkSpan span = chunk_span(m, chunk, first);
-    struct Pending {
-      std::size_t i = 0;
-      Rect window;
-      std::vector<Polygon> targets;
-    };
-    std::vector<Pending> pending;
-    for (std::size_t k = span.lo; k < span.hi; ++k) {
-      const std::size_t i = inst_of(k);
-      if (mode_for_instance(i) != OpcMode::kModelBased) continue;
-      if (journal_ &&
-          journal_->find(opc_record_fp(i, OpcMode::kModelBased)) != nullptr) {
-        continue;  // will replay from the journal, not compute
-      }
-      const Instance& inst = design_->layout.instance(i);
-      const Rect window =
-          inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-              .inflated(options_.ambit_nm);
-      std::vector<Polygon> targets =
-          design_->layout.flatten_layer_polys(window, Layer::kPoly);
-      if (targets.empty()) continue;
-      if (caches_ != nullptr &&
-          caches_->opc.peek(opc_cache_fp(
-              OpcMode::kModelBased, window, targets,
-              Point{window.xlo, window.ylo}, sim_, options_.opc)) != nullptr) {
-        continue;  // the consumption path will hit the cache
-      }
-      pending.push_back({i, window, std::move(targets)});
-    }
-    if (pending.empty()) return;
-    try {
-      std::vector<OpcBatchJob> jobs;
-      jobs.reserve(pending.size());
-      for (const Pending& p : pending) jobs.push_back({&p.targets, p.window});
-      const OpcEngine engine(sim_, options_.opc);
-      std::vector<OpcResult> results = engine.correct_batch(
-          jobs.data(), jobs.size(), Exposure{}, tls_scratch_arena());
-      for (std::size_t b = 0; b < pending.size(); ++b) {
-        staged[pending[b].i] =
-            std::make_unique<OpcResult>(std::move(results[b]));
-      }
-    } catch (...) {
-      for (std::size_t k = span.lo; k < span.hi; ++k) staged[inst_of(k)].reset();
-    }
-  };
-
   const RecoveryOptions& rec = options_.recovery;
   if (!rec.enabled) {
     // Fail-fast mode still names its windows for the fault harness, so an
     // injected fault aborts the run instead of being silently skipped —
     // containment is what changes the outcome, not the injection.
-    parallel_for(threads(), m, chunk, [&](std::size_t k) {
-      if (batching && chunk_span(m, chunk, k).lo == k) stage_chunk(k);
+    parallel_for(threads(), m, /*chunk=*/1, [&](std::size_t k) {
       const std::size_t i = inst_of(k);
       const OpcMode mode = mode_for_instance(i);
       Fingerprint jfp;
@@ -1096,8 +967,7 @@ void PostOpcFlow::run_opc_windows(
       }
       fault::Scope scope(fault::Domain::kOpc, i);
       fault::maybe_throw(fault::Kind::kAlloc);
-      std::unique_ptr<OpcResult> mine = std::move(staged[i]);
-      OpcWindowResult r = opc_window(i, mode, mine.get());
+      OpcWindowResult r = opc_window(i, mode);
       masks_[i] = std::move(r.mask);
       per_window[i] = r.stats;
       if (journal_) journal_window(jfp, i, JournalOutcome{});
@@ -1118,9 +988,8 @@ void PostOpcFlow::run_opc_windows(
     std::vector<std::uint64_t> indices(m);
     for (std::size_t k = 0; k < m; ++k) indices[k] = inst_of(k);
     const std::vector<IndexedError> escaped = try_parallel_for(
-        threads(), m, chunk,
+        threads(), m, /*chunk=*/1,
         [&](std::size_t k) {
-          if (batching && chunk_span(m, chunk, k).lo == k) stage_chunk(k);
           const std::size_t i = inst_of(k);
           ItemOutcome& oc = outcomes[k];
           const OpcMode mode = mode_for_instance(i);
@@ -1143,16 +1012,13 @@ void PostOpcFlow::run_opc_windows(
             }
           }
           fault::Scope scope(fault::Domain::kOpc, i);
-          std::unique_ptr<OpcResult> mine = std::move(staged[i]);
           const std::size_t max_attempts = 1 + rec.max_retries;
           for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
             try {
               fault::maybe_throw(fault::Kind::kAlloc);
-              // Staged corrections ran under nominal settings; retries use
-              // the escalated engine and never consume them.
               OpcWindowResult r =
                   attempt == 0
-                      ? opc_window(i, mode, mine.get())
+                      ? opc_window(i, mode)
                       : opc_window_impl(i, mode, retry_sim,
                                         retry_opts, /*use_cache=*/false);
               masks_[i] = std::move(r.mask);
@@ -1298,80 +1164,6 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
   std::vector<GateExtraction> out(gates.size());
   const CancelToken* cancel = cancel_token();
 
-  // Batched staging (see "Batched window execution" in DESIGN.md): the
-  // parallel chunk equals the SoA batch width, and the worker that owns a
-  // chunk stages it whole at the chunk's first index — probe journal and
-  // latent cache, batch-image only the windows that would actually compute,
-  // park each latent in its per-index slot for the unchanged per-gate body
-  // to consume.  Staged latents are bit-identical to scalar sim.latent
-  // calls, and cache insertion still happens per index in chunk order, so
-  // results, counters and insertion order match the unbatched loop exactly.
-  const std::size_t chunk = loop_chunk(sim);
-  const bool batching = batching_enabled(sim);
-  std::vector<std::unique_ptr<Image2D>> staged(gates.size());
-  const auto stage_chunk = [&](std::size_t first) {
-    const ChunkSpan span = chunk_span(gates.size(), chunk, first);
-    struct Pending {
-      std::size_t k = 0;
-      Rect window;
-    };
-    std::vector<Pending> pending;
-    for (std::size_t k = span.lo; k < span.hi; ++k) {
-      const GateIdx g = gates[k];
-      const std::size_t instance = design_->gate_to_instance[g];
-      if (!opc_degraded_.empty() && opc_degraded_[instance]) continue;
-      if (journal_ &&
-          journal_->find(extract_record_fp(sim, exposure, g)) != nullptr) {
-        continue;  // will replay from the journal, not compute
-      }
-      const Rect window = design_->litho_window(g, options_.ambit_nm);
-      if (caches_ != nullptr &&
-          caches_->latent.peek(latent_window_fp(
-              sim, mask_for_instance(instance), window, exposure,
-              options_.extract_quality)) != nullptr) {
-        continue;  // the consumption path will hit the cache
-      }
-      pending.push_back({k, window});
-    }
-    if (pending.empty()) return;
-    try {
-      ScratchArena& arena = tls_scratch_arena();
-      std::vector<Image2D> masks(pending.size());
-      for (std::size_t m = 0; m < pending.size(); ++m) {
-        const GateIdx g = gates[pending[m].k];
-        masks[m] =
-            sim.rasterize(mask_for_instance(design_->gate_to_instance[g]),
-                          pending[m].window, options_.extract_quality);
-      }
-      // Same-shape groups in first-appearance order; each is one SoA batch.
-      std::vector<char> grouped(pending.size(), 0);
-      for (std::size_t m = 0; m < pending.size(); ++m) {
-        if (grouped[m]) continue;
-        std::vector<std::size_t> members;
-        for (std::size_t j = m; j < pending.size(); ++j) {
-          if (!grouped[j] && masks[j].nx() == masks[m].nx() &&
-              masks[j].ny() == masks[m].ny()) {
-            members.push_back(j);
-            grouped[j] = 1;
-          }
-        }
-        std::vector<const Image2D*> ptrs;
-        ptrs.reserve(members.size());
-        for (std::size_t j : members) ptrs.push_back(&masks[j]);
-        std::vector<Image2D> latents =
-            sim.latent_batch(ptrs.data(), ptrs.size(), exposure,
-                             options_.extract_quality, arena);
-        for (std::size_t j = 0; j < members.size(); ++j) {
-          staged[pending[members[j]].k] =
-              std::make_unique<Image2D>(std::move(latents[j]));
-        }
-      }
-    } catch (...) {
-      // Best-effort: cleared slots make the per-gate bodies recompute
-      // scalar, under their own fault scope and containment.
-      for (std::size_t k = span.lo; k < span.hi; ++k) staged[k].reset();
-    }
-  };
   struct JournalFlusher {
     RunJournal* j;
     ~JournalFlusher() {
@@ -1391,10 +1183,7 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
   };
   const RecoveryOptions& rec = options_.recovery;
   if (!rec.enabled) {
-    parallel_for(threads(), gates.size(), chunk, [&](std::size_t k) {
-      if (batching && chunk_span(gates.size(), chunk, k).lo == k) {
-        stage_chunk(k);
-      }
+    parallel_for(threads(), gates.size(), /*chunk=*/1, [&](std::size_t k) {
       const GateIdx g = gates[k];
       Fingerprint jfp;
       if (journal_) {
@@ -1407,10 +1196,9 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
       fault::maybe_throw(fault::Kind::kAlloc);
       const std::size_t instance = design_->gate_to_instance[g];
       const Rect window = design_->litho_window(g, options_.ambit_nm);
-      std::unique_ptr<Image2D> mine = std::move(staged[k]);
       const Image2D latent = latent_for_window(
           sim, mask_for_instance(instance), window, exposure,
-          options_.extract_quality, /*use_cache=*/true, mine.get());
+          options_.extract_quality, /*use_cache=*/true);
       out[k] = extract_gate(g, latent, sim.print_threshold());
       if (journal_) journal_gate(jfp, g, out[k], JournalOutcome{});
     }, cancel);
@@ -1425,11 +1213,8 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
     std::vector<std::uint64_t> indices(gates.size());
     for (std::size_t k = 0; k < gates.size(); ++k) indices[k] = gates[k];
     const std::vector<IndexedError> escaped = try_parallel_for(
-        threads(), gates.size(), chunk,
+        threads(), gates.size(), /*chunk=*/1,
         [&](std::size_t k) {
-          if (batching && chunk_span(gates.size(), chunk, k).lo == k) {
-            stage_chunk(k);
-          }
           const GateIdx g = gates[k];
           // The slot keeps its gate id whatever happens below: an empty-
           // device record is exactly the existing "gate without extraction"
@@ -1464,7 +1249,6 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
           }
           fault::Scope scope(fault::Domain::kExtract, g);
           const Rect window = design_->litho_window(g, options_.ambit_nm);
-          std::unique_ptr<Image2D> mine = std::move(staged[k]);
           const std::size_t max_attempts = 1 + rec.max_retries;
           for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
             const LithoSimulator& s = attempt == 0 ? sim : retry_sim;
@@ -1472,13 +1256,9 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
                 attempt == 0 ? options_.extract_quality : retry_quality;
             try {
               fault::maybe_throw(fault::Kind::kAlloc);
-              // Staged latents were computed under nominal settings, so
-              // retries (fallback sim / escalated quality) never consume
-              // them.
-              const Image2D latent = latent_for_window(
-                  s, mask_for_instance(instance), window, exposure, q,
-                  /*use_cache=*/attempt == 0,
-                  attempt == 0 ? mine.get() : nullptr);
+              const Image2D latent =
+                  latent_for_window(s, mask_for_instance(instance), window,
+                                    exposure, q, /*use_cache=*/attempt == 0);
               out[k] = extract_gate(g, latent, s.print_threshold());
               oc.attempts = attempt + 1;
               oc.recovered = attempt > 0;
@@ -1535,10 +1315,8 @@ Image2D PostOpcFlow::latent_for_window(const LithoSimulator& sim,
                                        const Rect& window,
                                        const Exposure& exposure,
                                        LithoQuality quality,
-                                       bool use_cache,
-                                       Image2D* staged) const {
+                                       bool use_cache) const {
   if (!caches_ || !use_cache) {
-    if (staged != nullptr) return std::move(*staged);
     return sim.latent(mask, window, exposure, quality);
   }
   // The latent image depends on optics, resist diffusion (the threshold
@@ -1547,7 +1325,16 @@ Image2D PostOpcFlow::latent_for_window(const LithoSimulator& sim,
   // half-integer centering offset, so rebasing them between frames is exact
   // in doubles: a translated replay equals a recompute bit for bit.
   const Point anchor{window.xlo, window.ylo};
-  const Fingerprint fp = latent_window_fp(sim, mask, window, exposure, quality);
+  FpHasher h;
+  h.str("latent");
+  hash_optics(h, sim.optics());
+  hash_imaging(h, sim.imaging());
+  h.f64(sim.resist().diffusion_nm);
+  hash_exposure(h, exposure);
+  h.u64(static_cast<std::uint64_t>(quality));
+  h.i64(window.width()).i64(window.height());
+  h.rects(mask, anchor);
+  const Fingerprint fp = h.digest();
 
   const double ax = static_cast<double>(anchor.x);
   const double ay = static_cast<double>(anchor.y);
@@ -1558,9 +1345,7 @@ Image2D PostOpcFlow::latent_for_window(const LithoSimulator& sim,
     return img;
   }
 
-  Image2D latent = staged != nullptr
-                       ? std::move(*staged)
-                       : sim.latent(mask, window, exposure, quality);
+  Image2D latent = sim.latent(mask, window, exposure, quality);
   auto entry = std::make_shared<Image2D>(latent.nx(), latent.ny(),
                                          latent.pixel(), latent.origin_x() - ax,
                                          latent.origin_y() - ay);
@@ -1689,17 +1474,6 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
   POC_EXPECTS(!masks_.empty());  // run_opc first
   const OpcEngine engine(sim_, options_.opc);
   const std::size_t n = design_->layout.num_instances();
-  // Batched staging: per (window, corner) the scan consumes two latent
-  // images — the silicon print and the OPC model's view (EPE probes).  The
-  // worker owning a chunk images both through the SoA engine for every
-  // journal/cache-missing pair and parks them as OrcLatents; rasterization
-  // is sim-independent, so one raster per window feeds both batches.
-  // Corners cannot share a batch (defocus changes the TCC kernels), so
-  // batching runs across the chunk's windows within each corner.
-  const std::size_t chunk = loop_chunk(silicon_sim_);
-  const bool batching = batching_enabled(silicon_sim_);
-  std::vector<std::vector<std::unique_ptr<OrcLatents>>> staged(n);
-
   // Per-window ORC across all corners; partial reports land in per-window
   // slots and merge in instance order, so violation order and counts match
   // the serial scan exactly.  Retries (`use_cache` false) bypass the ORC
@@ -1732,8 +1506,7 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
       base.polys(targets, anchor);
       base.rects(mask_for_instance(i), anchor);
     }
-    for (std::size_t c = 0; c < conditions.size(); ++c) {
-      const ProcessCorner& corner = conditions[c];
+    for (const ProcessCorner& corner : conditions) {
       // Hotspots are judged against the silicon reference, not the
       // model.
       const Exposure exposure = silicon_exposure(corner.exposure);
@@ -1753,18 +1526,8 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
         }
       }
       if (!cached) {
-        // Staged latents come from the batched pass at nominal settings;
-        // retries (use_cache false) never consume them.
-        std::unique_ptr<OrcLatents> mine;
-        if (use_cache && staged[i].size() == conditions.size()) {
-          mine = std::move(staged[i][c]);
-        }
-        orc = mine != nullptr
-                  ? run_orc_staged(silicon_sim_, engine, targets, window,
-                                   *mine, orc_options)
-                  : run_orc(silicon_sim_, engine, targets,
-                            mask_for_instance(i), window, exposure,
-                            orc_options);
+        orc = run_orc(silicon_sim_, engine, targets, mask_for_instance(i),
+                      window, exposure, orc_options);
         if (cache_window) {
           auto entry = std::make_shared<WindowCaches::OrcEntry>();
           entry->report = orc;
@@ -1790,100 +1553,6 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
     return partial;
   };
 
-  const auto stage_chunk = [&](std::size_t first) {
-    const ChunkSpan span = chunk_span(n, chunk, first);
-    struct Win {
-      std::size_t i = 0;
-      Rect window;
-      Image2D raster;
-      FpHasher base;  ///< corner-invariant key prefix; forked per corner
-      bool has_base = false;
-    };
-    std::vector<Win> wins;
-    for (std::size_t i = span.lo; i < span.hi; ++i) {
-      if (journal_ &&
-          journal_->find(scan_record_fp(i, conditions, orc_options)) !=
-              nullptr) {
-        continue;  // will replay from the journal, not compute
-      }
-      const Instance& inst = design_->layout.instance(i);
-      const Rect window =
-          inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-              .inflated(options_.ambit_nm);
-      const std::vector<Polygon> targets =
-          design_->layout.flatten_layer_polys(window, Layer::kPoly);
-      if (targets.empty()) continue;
-      Win w;
-      w.i = i;
-      w.window = window;
-      if (caches_ != nullptr) {
-        // Mirrors the key scan_window builds, so peeks hit iff find will.
-        w.base.str("orc");
-        hash_sim(w.base, silicon_sim_);
-        hash_sim(w.base, sim_);
-        hash_opc_options(w.base, options_.opc);
-        hash_orc_options(w.base, orc_options);
-        w.base.i64(window.width()).i64(window.height());
-        w.base.polys(targets, Point{window.xlo, window.ylo});
-        w.base.rects(mask_for_instance(i), Point{window.xlo, window.ylo});
-        w.has_base = true;
-      }
-      wins.push_back(std::move(w));
-    }
-    if (wins.empty()) return;
-    try {
-      ScratchArena& arena = tls_scratch_arena();
-      for (Win& w : wins) {
-        w.raster = silicon_sim_.rasterize(mask_for_instance(w.i), w.window,
-                                          orc_options.quality);
-        staged[w.i].resize(conditions.size());
-      }
-      for (std::size_t c = 0; c < conditions.size(); ++c) {
-        const Exposure exposure = silicon_exposure(conditions[c].exposure);
-        std::vector<std::size_t> members;
-        for (std::size_t m = 0; m < wins.size(); ++m) {
-          if (wins[m].has_base) {
-            FpHasher h = wins[m].base;
-            hash_exposure(h, exposure);
-            if (caches_->orc.peek(h.digest()) != nullptr) continue;
-          }
-          members.push_back(m);
-        }
-        // Same-shape groups in first-appearance order; one raster per
-        // window serves both the silicon and the model batch.
-        std::vector<char> grouped(members.size(), 0);
-        for (std::size_t a = 0; a < members.size(); ++a) {
-          if (grouped[a]) continue;
-          const Image2D& ref = wins[members[a]].raster;
-          std::vector<std::size_t> shape;
-          for (std::size_t b = a; b < members.size(); ++b) {
-            const Image2D& rb = wins[members[b]].raster;
-            if (!grouped[b] && rb.nx() == ref.nx() && rb.ny() == ref.ny()) {
-              shape.push_back(b);
-              grouped[b] = 1;
-            }
-          }
-          std::vector<const Image2D*> ptrs;
-          ptrs.reserve(shape.size());
-          for (std::size_t s : shape) {
-            ptrs.push_back(&wins[members[s]].raster);
-          }
-          std::vector<Image2D> silicon = silicon_sim_.latent_batch(
-              ptrs.data(), ptrs.size(), exposure, orc_options.quality, arena);
-          std::vector<Image2D> model = sim_.latent_batch(
-              ptrs.data(), ptrs.size(), exposure, orc_options.quality, arena);
-          for (std::size_t s = 0; s < shape.size(); ++s) {
-            staged[wins[members[shape[s]]].i][c] =
-                std::make_unique<OrcLatents>(OrcLatents{
-                    std::move(silicon[s]), std::move(model[s])});
-          }
-        }
-      }
-    } catch (...) {
-      for (std::size_t i = span.lo; i < span.hi; ++i) staged[i].clear();
-    }
-  };
-
   std::vector<HotspotReport> slots(n);
   const CancelToken* cancel = cancel_token();
   struct JournalFlusher {
@@ -1904,8 +1573,7 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
   };
   const RecoveryOptions& rec = options_.recovery;
   if (!rec.enabled) {
-    parallel_for(threads(), n, chunk, [&](std::size_t i) {
-      if (batching && chunk_span(n, chunk, i).lo == i) stage_chunk(i);
+    parallel_for(threads(), n, /*chunk=*/1, [&](std::size_t i) {
       Fingerprint jfp;
       if (journal_) {
         jfp = scan_record_fp(i, conditions, orc_options);
@@ -1923,9 +1591,8 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
     std::vector<std::uint64_t> indices(n);
     for (std::size_t i = 0; i < n; ++i) indices[i] = i;
     const std::vector<IndexedError> escaped = try_parallel_for(
-        threads(), n, chunk,
+        threads(), n, /*chunk=*/1,
         [&](std::size_t i) {
-          if (batching && chunk_span(n, chunk, i).lo == i) stage_chunk(i);
           ItemOutcome& oc = outcomes[i];
           Fingerprint jfp;
           if (journal_) {

@@ -394,21 +394,14 @@ class PostOpcFlow {
     std::vector<Rect> mask;
     OpcStats stats;
   };
-  /// `staged`, when non-null, is a correction result the batched staging
-  /// pass already computed for this window (bit-identical to what
-  /// engine.correct would produce — see OpcEngine::correct_batch); the
-  /// window consumes it instead of re-running the engine.  Cache probing
-  /// and insertion are unchanged either way.
-  OpcWindowResult opc_window(std::size_t instance, OpcMode mode,
-                             OpcResult* staged = nullptr) const;
+  OpcWindowResult opc_window(std::size_t instance, OpcMode mode) const;
   /// opc_window with explicit simulator/options (the escalated-retry path)
   /// and cache control — retries must bypass the cache so a result produced
   /// under non-nominal settings is never stored under the nominal key.
   OpcWindowResult opc_window_impl(std::size_t instance, OpcMode mode,
                                   const LithoSimulator& sim,
                                   const OpcOptions& opc_options,
-                                  bool use_cache,
-                                  OpcResult* staged = nullptr) const;
+                                  bool use_cache) const;
   /// Drawn (uncorrected) mask for one instance window: the degradation
   /// fallback when every OPC attempt faulted.
   std::vector<Rect> drawn_mask_for_instance(std::size_t instance) const;
@@ -424,14 +417,11 @@ class PostOpcFlow {
       const std::optional<std::vector<GateIdx>>& subset) const;
   /// sim.latent() memoized through the window cache (bit-identical either
   /// way); falls through to a plain call when the cache is disabled or
-  /// `use_cache` is false (retry attempts).  `staged`, when non-null, is
-  /// the window's latent as computed by the batched staging pass (bit-
-  /// identical to the scalar sim.latent) and is consumed — moved from — in
-  /// place of the scalar call on a cache miss.
+  /// `use_cache` is false (retry attempts).
   Image2D latent_for_window(const LithoSimulator& sim,
                             const std::vector<Rect>& mask, const Rect& window,
                             const Exposure& exposure, LithoQuality quality,
-                            bool use_cache, Image2D* staged = nullptr) const;
+                            bool use_cache) const;
 
   /// Per-window containment bookkeeping shared by the three hot loops.
   /// Outcomes land in pre-sized slots and are merged into health_ in window

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
-#include <type_traits>
 
 #include "src/common/check.h"
 #include "src/common/fft.h"
@@ -18,13 +17,6 @@ namespace {
 std::size_t freq_slot(long long k, std::size_t n) {
   return k >= 0 ? static_cast<std::size_t>(k)
                 : n - static_cast<std::size_t>(-k);
-}
-
-/// Frequency-domain accessor for a row-major spectrum: signed index ->
-/// storage index.
-std::size_t spec_index(long long kx, long long ky, std::size_t nx,
-                       std::size_t ny) {
-  return freq_slot(ky, ny) * nx + freq_slot(kx, nx);
 }
 
 /// Spectral layout every engine derives from the mask grid and the optics.
@@ -76,44 +68,14 @@ double blur_exponent_scale(double blur_sigma_nm) {
          blur_sigma_nm;
 }
 
-/// Accumulates one coherent system of the generic SOCS path: scatter the
-/// band-limited filtered spectrum onto the coarse grid, band-inverse
-/// transform, add weight * |E|^2.
-void accumulate_coherent(const std::vector<Cplx>& spectrum,
-                         const std::vector<Cplx>& table, double weight,
-                         const CropLayout& l, std::vector<Cplx>& field,
-                         std::vector<double>& intensity) {
-  const SpectralGrid& grid = l.grid;
-  std::fill(field.begin(), field.end(), Cplx(0.0, 0.0));
-  std::size_t idx = 0;
-  for (long long ky = -grid.ky_max; ky <= grid.ky_max; ++ky) {
-    for (long long kx = -grid.kx_max; kx <= grid.kx_max; ++kx) {
-      const Cplx p = table[idx++];
-      if (p == Cplx(0.0, 0.0)) continue;
-      field[spec_index(kx, ky, l.ncx, l.ncy)] =
-          spectrum[spec_index(kx, ky, l.nx, l.ny)] * p * l.crop_scale;
-    }
-  }
-  fft_2d_band_inverse(field, l.ncx, l.ncy,
-                      static_cast<std::size_t>(grid.kx_max));
-  for (std::size_t i = 0; i < l.ncx * l.ncy; ++i) {
-    intensity[i] += weight * std::norm(field[i]);
-  }
-}
-
-// --- Abbe engine: in-window lanes -----------------------------------------
+// --- In-window lanes -------------------------------------------------------
 //
-// Every transform runs kLanes independent spans at once through fft_soa,
-// and each lane replays the scalar fft_span operation sequence, so the
-// image is bit-identical to transforming one span at a time.  The lane is
-// the mask row, then the band column, of the forward transform; the source
-// point on the coarse grid; and the spectrum row, then the image column, of
-// the upsample.  Between a row pass and its column pass the data sits in
-// column tiles: element e of column c at [((c / kLanes) * len + e) *
-// kLanes + c % kLanes], so each tile's column pass works on contiguous
-// memory.  Rows that are entirely +0 (|ky| beyond the band) are never
-// transformed: every butterfly of a +0 span adds or subtracts a signed-zero
-// product to u = +0, which rounds to +0, so skipping them changes no bit.
+// Both engines run every transform kLanes independent spans at once through
+// fft_soa, and each lane replays the scalar fft_span operation sequence, so
+// the image is bit-identical to transforming one span at a time.  Between a
+// row pass and its column pass the data sits in column tiles: element e of
+// column c at [((c / kLanes) * len + e) * kLanes + c % kLanes], so each
+// tile's column pass works on contiguous memory.
 
 constexpr std::size_t kLanes = 4;
 
@@ -170,6 +132,15 @@ void expand_band_column(const double* src_re, const double* src_im,
   std::copy(src_re + lo, src_re + lo + hi, col_re + end - hi);
   std::copy(src_im + lo, src_im + lo + hi, col_im + end - hi);
 }
+
+// --- Abbe engine ------------------------------------------------------------
+//
+// The lane is the mask row, then the band column, of the forward transform;
+// the source point on the coarse grid; and the spectrum row, then the image
+// column, of the upsample.  Rows that are entirely +0 (|ky| beyond the
+// band) are never transformed: every butterfly of a +0 span adds or
+// subtracts a signed-zero product to u = +0, which rounds to +0, so
+// skipping them changes no bit.
 
 /// Abbe source-point summation into `result` (already nx x ny).  All
 /// scratch comes from `arena`.
@@ -347,36 +318,162 @@ void abbe_aerial_image(const Image2D& mask, const OpticalSettings& opt,
   }
 }
 
-}  // namespace
+// --- SOCS engine -------------------------------------------------------------
+//
+// The same lanes, applied to the SOCS operation order: a packed real-input
+// band transform of the mask (two rows per complex transform), one
+// band-column-first inverse per coherent system (two parity-packed kernels
+// per transform, or one generic kernel), a full forward transform of the
+// coarse intensity, and a packed real-output band inverse for the upsample
+// (two output rows per complex transform).  The lane is the mask row pair,
+// then the band column; the band column, then the coarse row of each
+// coherent system; the coarse row, then the band column of the intensity
+// spectrum; and the band column, then the output row pair of the upsample.
+// Complex products are written out as the naive expansion std::complex
+// compiles to on finite data, so every signed zero rounds as in the scalar
+// transforms (rfft_2d_band, fft_2d_band_inverse, fft_2d, irfft_2d_band)
+// that define the order.
 
-Image2D aerial_image_blurred(const Image2D& mask, const OpticalSettings& opt,
-                             double defocus_nm, double blur_sigma_nm,
-                             const std::vector<SourcePoint>& source,
-                             const ImagingOptions& imaging) {
-  const std::size_t nx = mask.nx();
-  const std::size_t ny = mask.ny();
-  POC_EXPECTS(is_pow2(nx) && is_pow2(ny) && nx >= 2 && ny >= 2);
-  const CropLayout l = crop_layout(nx, ny, mask.pixel(), opt);
-  const SpectralGrid& grid = l.grid;
+/// Zeroes the rows of a column tile strictly between frequencies k and -k
+/// (element e of lane w at [e * kLanes + w], n elements): the part of each
+/// band column a band-limited scatter leaves unwritten.
+void zero_band_gap(double* tile_re, double* tile_im, std::size_t k,
+                   std::size_t n) {
+  std::fill(tile_re + (k + 1) * kLanes, tile_re + (n - k) * kLanes, 0.0);
+  std::fill(tile_im + (k + 1) * kLanes, tile_im + (n - k) * kLanes, 0.0);
+}
+
+/// Signed frequency of compact band column c of a band of half-width k.
+long long band_freq(std::size_t c, std::size_t k) {
+  return c <= k ? static_cast<long long>(c)
+                : static_cast<long long>(c) - static_cast<long long>(2 * k + 1);
+}
+
+/// Truncated coherent-kernel summation into `result` (already nx x ny).
+/// All scratch comes from `arena`.
+void socs_aerial_image(const Image2D& mask, const OpticalSettings& opt,
+                       double defocus_nm, double blur_sigma_nm,
+                       const std::vector<SourcePoint>& source,
+                       const SocsOptions& socs, const CropLayout& l,
+                       ScratchArena& arena, Image2D& result) {
+  const std::size_t nx = l.nx;
+  const std::size_t ny = l.ny;
   const std::size_t ncx = l.ncx;
   const std::size_t ncy = l.ncy;
-  Image2D result(nx, ny, mask.pixel(), mask.origin_x(), mask.origin_y());
-  if (imaging.mode == ImagingMode::kAbbe) {
-    abbe_aerial_image(mask, opt, defocus_nm, blur_sigma_nm, source, l,
-                      tls_scratch_arena(), result);
-    return result;
+  const std::size_t kx = static_cast<std::size_t>(l.grid.kx_max);
+  const std::size_t ky = static_cast<std::size_t>(l.grid.ky_max);
+  const std::size_t nb = 2 * kx + 1;
+  const std::size_t pairs = ny / 2;
+  double* row_re = arena.buf(ScratchArena::kRowRe, nx * kLanes);
+  double* row_im = arena.buf(ScratchArena::kRowIm, nx * kLanes);
+
+  // Mask spectrum: kLanes packed row pairs per transform, each split into
+  // its two rows' band columns, which land in column tiles of length ny.
+  const std::size_t spec_size = lane_tiles(nb) * ny * kLanes;
+  double* spec_re = arena.buf(ScratchArena::kSpecRe, spec_size);
+  double* spec_im = arena.buf(ScratchArena::kSpecIm, spec_size);
+  const double* m = mask.data().data();
+  for (std::size_t p0 = 0; p0 < pairs; p0 += kLanes) {
+    const std::size_t nw = std::min(kLanes, pairs - p0);
+    for (std::size_t x = 0; x < nx; ++x) {
+      for (std::size_t w = 0; w < kLanes; ++w) {
+        const std::size_t y = 2 * (p0 + w);
+        row_re[x * kLanes + w] = w < nw ? m[y * nx + x] : 0.0;
+        row_im[x * kLanes + w] = w < nw ? m[(y + 1) * nx + x] : 0.0;
+      }
+    }
+    fft_soa(row_re, row_im, nx, /*inverse=*/false, kLanes, kLanes);
+    for (std::size_t c = 0; c < lane_tiles(nb) * kLanes; ++c) {
+      double* dr = spec_re + tile_offset(c, 2 * p0, ny);
+      double* di = spec_im + tile_offset(c, 2 * p0, ny);
+      if (c >= nb) {  // the last tile's spare columns stay +0
+        for (std::size_t e = 0; e < 2 * nw; ++e) dr[e * kLanes] = 0.0;
+        for (std::size_t e = 0; e < 2 * nw; ++e) di[e * kLanes] = 0.0;
+        continue;
+      }
+      const std::size_t k = band_column_storage(c, nx, kx);
+      const std::size_t mk = (nx - k) & (nx - 1);
+      for (std::size_t w = 0; w < nw; ++w) {
+        double* e0r = dr + 2 * w * kLanes;
+        double* e0i = di + 2 * w * kLanes;
+        // zk = z[k], zm = conj(z[-k]); row y: 0.5 * (zk + zm), row y + 1:
+        // Cplx(0.0, -0.5) * (zk - zm).
+        const double ar = row_re[k * kLanes + w];
+        const double ai = row_im[k * kLanes + w];
+        const double br = row_re[mk * kLanes + w];
+        const double bi = -row_im[mk * kLanes + w];
+        e0r[0] = 0.5 * (ar + br);
+        e0i[0] = 0.5 * (ai + bi);
+        const double dre = ar - br;
+        const double dim = ai - bi;
+        e0r[kLanes] = 0.0 * dre - (-0.5) * dim;
+        e0i[kLanes] = 0.0 * dim + (-0.5) * dre;
+      }
+    }
+  }
+  for (std::size_t t = 0; t < lane_tiles(nb); ++t) {
+    fft_soa(spec_re + t * ny * kLanes, spec_im + t * ny * kLanes, ny,
+            /*inverse=*/false, kLanes, kLanes);
   }
 
-  // SOCS: the mask spectrum's |kx| <= kx_max columns from packed real
-  // rows, then one coherent system per retained TCC kernel, accumulated on
-  // the coarse grid in fixed kernel order.
-  const std::vector<Cplx> spectrum = rfft_2d_band(
-      mask.data(), nx, ny, static_cast<std::size_t>(grid.kx_max));
-  std::vector<double> intensity(ncx * ncy, 0.0);
-  std::vector<Cplx> field(ncx * ncy);
+  // Coherent systems: each fills the band columns of its filtered spectrum
+  // (column tiles of length ncy), inverse-transforms them, then kLanes
+  // coarse rows per transform, and folds w |E|^2 straight into the
+  // intensity (row tiles: row r0 + w, column x at [x * kLanes + w]), per
+  // pixel in ascending kernel order.
+  const std::size_t field_size = lane_tiles(nb) * ncy * kLanes;
+  double* field_re = arena.buf(ScratchArena::kFieldRe, field_size);
+  double* field_im = arena.buf(ScratchArena::kFieldIm, field_size);
+  const std::size_t int_size = lane_tiles(ncy) * ncx * kLanes;
+  double* intensity = arena.buf(ScratchArena::kIntensity, int_size);
+  std::fill(intensity, intensity + int_size, 0.0);
+  // field_at(spectrum re, im, kernel table index, field re&, im&) computes
+  // one band entry; fold(intensity row tile, field rows re, im) adds w |E|^2.
+  const auto coherent_system = [&](const auto& field_at, const auto& fold) {
+    for (std::size_t t = 0; t < lane_tiles(nb); ++t) {
+      double* fr = field_re + t * ncy * kLanes;
+      double* fi = field_im + t * ncy * kLanes;
+      zero_band_gap(fr, fi, ky, ncy);
+      for (long long v = -l.grid.ky_max; v <= l.grid.ky_max; ++v) {
+        const std::size_t at = freq_slot(v, ncy) * kLanes;
+        const std::size_t from = (t * ny + freq_slot(v, ny)) * kLanes;
+        const std::size_t row = static_cast<std::size_t>(v + l.grid.ky_max);
+        for (std::size_t w = 0; w < kLanes; ++w) {
+          const std::size_t c = t * kLanes + w;
+          if (c >= nb) {
+            fr[at + w] = fi[at + w] = 0.0;
+            continue;
+          }
+          const std::size_t idx = row * nb + static_cast<std::size_t>(
+                                                 band_freq(c, kx) +
+                                                 l.grid.kx_max);
+          field_at(spec_re[from + w], spec_im[from + w], idx, fr[at + w],
+                   fi[at + w]);
+        }
+      }
+      fft_soa(fr, fi, ncy, /*inverse=*/true, kLanes, kLanes);
+    }
+    for (std::size_t r0 = 0; r0 < ncy; r0 += kLanes) {
+      const std::size_t nw = std::min(kLanes, ncy - r0);
+      std::fill(row_re, row_re + ncx * kLanes, 0.0);
+      std::fill(row_im, row_im + ncx * kLanes, 0.0);
+      for (std::size_t c = 0; c < nb; ++c) {
+        const std::size_t x = band_column_storage(c, ncx, kx);
+        const std::size_t at = tile_offset(c, r0, ncy);
+        for (std::size_t w = 0; w < nw; ++w) {
+          row_re[x * kLanes + w] = field_re[at + w * kLanes];
+          row_im[x * kLanes + w] = field_im[at + w * kLanes];
+        }
+      }
+      fft_soa(row_re, row_im, ncx, /*inverse=*/true, kLanes, kLanes);
+      fold(intensity + r0 * ncx, row_re, row_im);
+    }
+  };
+  const std::size_t row_len = ncx * kLanes;
   const double crop_scale = l.crop_scale;
   const std::shared_ptr<const SocsKernels> kernels =
-      socs_kernels(opt, source, defocus_nm, grid, imaging.socs);
+      socs_kernels(opt, source, defocus_nm, l.grid, socs);
+  const std::size_t nk = kernels->kernels.size();
   if (kernels->parity_packable()) {
     // Parity-pure real kernels (nominal focus, no aberrations): each
     // kernel's filtered spectrum M*phi is Hermitian — directly for even
@@ -385,231 +482,172 @@ Image2D aerial_image_blurred(const Image2D& mask, const OpticalSettings& opt,
     // changing |E|^2).  Two Hermitian spectra ride one complex inverse
     // transform as its real and imaginary parts, halving the per-kernel
     // transform count with no truncation error.
-    const std::size_t nk = kernels->kernels.size();
     for (std::size_t k = 0; k < nk; k += 2) {
       const bool pair = k + 1 < nk;
-      std::fill(field.begin(), field.end(), Cplx(0.0, 0.0));
-      const std::vector<Cplx>& phi1 = kernels->kernels[k];
-      const std::vector<Cplx>* phi2 = pair ? &kernels->kernels[k + 1] : nullptr;
+      const Cplx* phi1 = kernels->kernels[k].data();
+      const Cplx* phi2 = pair ? kernels->kernels[k + 1].data() : nullptr;
       const bool odd1 = kernels->parity[k] == 2;
       const bool odd2 = pair && kernels->parity[k + 1] == 2;
-      std::size_t idx = 0;
-      for (long long ky = -grid.ky_max; ky <= grid.ky_max; ++ky) {
-        for (long long kx = -grid.kx_max; kx <= grid.kx_max; ++kx, ++idx) {
-          const Cplx m =
-              spectrum[spec_index(kx, ky, nx, ny)] * crop_scale;
-          Cplx h1 = m * phi1[idx].real();
-          if (odd1) h1 = Cplx(h1.imag(), -h1.real());
-          Cplx h2(0.0, 0.0);
-          if (pair) {
-            h2 = m * (*phi2)[idx].real();
-            if (odd2) h2 = Cplx(h2.imag(), -h2.real());
-          }
-          field[spec_index(kx, ky, ncx, ncy)] =
-              Cplx(h1.real() - h2.imag(), h1.imag() + h2.real());
-        }
-      }
-      fft_2d_band_inverse(field, ncx, ncy,
-                          static_cast<std::size_t>(grid.kx_max));
       const double w1 = kernels->weights[k];
+      const double w2 = pair ? kernels->weights[k + 1] : 0.0;
+      const auto field_at = [&](double sr, double si, std::size_t idx,
+                                double& fr, double& fi) {
+        // m = M * crop_scale; h = m * phi.real(), -i twist when odd; the
+        // pair packs as h1 + i h2 (h2 = +0 without a partner).
+        const double mr = sr * crop_scale;
+        const double mi = si * crop_scale;
+        const double p1 = phi1[idx].real();
+        const double h1r = odd1 ? mi * p1 : mr * p1;
+        const double h1i = odd1 ? -(mr * p1) : mi * p1;
+        if (pair) {
+          const double p2 = phi2[idx].real();
+          const double h2r = odd2 ? mi * p2 : mr * p2;
+          const double h2i = odd2 ? -(mr * p2) : mi * p2;
+          fr = h1r - h2i;
+          fi = h1i + h2r;
+        } else {
+          fr = h1r - 0.0;
+          fi = h1i + 0.0;
+        }
+      };
       if (pair) {
-        const double w2 = kernels->weights[k + 1];
-        for (std::size_t i = 0; i < ncx * ncy; ++i) {
-          const double re = field[i].real();
-          const double im = field[i].imag();
-          intensity[i] += w1 * re * re + w2 * im * im;
-        }
+        coherent_system(field_at, [&](double* POC_RESTRICT acc,
+                                      const double* POC_RESTRICT re,
+                                      const double* POC_RESTRICT im) {
+          // VEC-LOOP(socs-kernel-apply): per-pixel fold of a kernel pair.
+          for (std::size_t j = 0; j < row_len; ++j) {
+            acc[j] += w1 * re[j] * re[j] + w2 * im[j] * im[j];
+          }
+        });
       } else {
-        for (std::size_t i = 0; i < ncx * ncy; ++i) {
-          const double re = field[i].real();
-          intensity[i] += w1 * re * re;
-        }
+        coherent_system(field_at, [&](double* POC_RESTRICT acc,
+                                      const double* POC_RESTRICT re,
+                                      const double*) {
+          for (std::size_t j = 0; j < row_len; ++j) {
+            acc[j] += w1 * re[j] * re[j];
+          }
+        });
       }
     }
   } else {
-    for (std::size_t k = 0; k < kernels->kernels.size(); ++k) {
-      accumulate_coherent(spectrum, kernels->kernels[k], kernels->weights[k],
-                          l, field, intensity);
+    for (std::size_t k = 0; k < nk; ++k) {
+      const Cplx* table = kernels->kernels[k].data();
+      const double weight = kernels->weights[k];
+      coherent_system(
+          [&](double sr, double si, std::size_t idx, double& fr, double& fi) {
+            // Entries the kernel zeroes stay +0; otherwise spectrum * p
+            // (naive complex product), then * crop_scale.
+            const Cplx p = table[idx];
+            if (p == Cplx(0.0, 0.0)) {
+              fr = fi = 0.0;
+              return;
+            }
+            fr = (sr * p.real() - si * p.imag()) * crop_scale;
+            fi = (sr * p.imag() + si * p.real()) * crop_scale;
+          },
+          [&](double* POC_RESTRICT acc, const double* POC_RESTRICT re,
+              const double* POC_RESTRICT im) {
+            for (std::size_t j = 0; j < row_len; ++j) {
+              acc[j] += weight * (re[j] * re[j] + im[j] * im[j]);
+            }
+          });
     }
   }
 
   // Upsample the band-limited intensity to the mask grid through the
   // frequency domain (exact), applying the resist diffusion blur in the
-  // same pass.
-  std::vector<Cplx> coarse_spec(ncx * ncy);
-  for (std::size_t i = 0; i < ncx * ncy; ++i) coarse_spec[i] = intensity[i];
-  fft_2d(coarse_spec, ncx, ncy, /*inverse=*/false);
+  // same pass: forward transform of the coarse intensity rows (each row
+  // tile transformed in place, imaginary parts zero), of which only the
+  // nbu columns with |kx| <= cx are kept and transformed ...
+  const std::size_t cx = static_cast<std::size_t>(l.cx);
+  const std::size_t cy = static_cast<std::size_t>(l.cy);
+  const std::size_t nbu = 2 * cx + 1;
+  const std::size_t coarse_size = lane_tiles(nbu) * ncy * kLanes;
+  double* coarse_re = arena.buf(ScratchArena::kCoarseRe, coarse_size);
+  double* coarse_im = arena.buf(ScratchArena::kCoarseIm, coarse_size);
+  for (std::size_t r0 = 0; r0 < ncy; r0 += kLanes) {
+    std::fill(row_im, row_im + ncx * kLanes, 0.0);
+    rows_to_column_tiles(
+        intensity + r0 * ncx, row_im, ncx, /*inverse=*/false,
+        std::min(kLanes, ncy - r0), nbu,
+        [&](std::size_t c) { return band_column_storage(c, ncx, cx); }, ncy,
+        r0, coarse_re, coarse_im);
+  }
+  for (std::size_t t = 0; t < lane_tiles(nbu); ++t) {
+    fft_soa(coarse_re + t * ncy * kLanes, coarse_im + t * ncy * kLanes, ncy,
+            /*inverse=*/false, kLanes, kLanes);
+  }
 
+  // ... then scale each kept entry by up_scale and the separable blur
+  // factors, inverse-transform the band columns at full height, and
+  // finally kLanes packed row pairs per transform (row y + i row y+1),
+  // written straight into the result.
   const double two_pi2_s2 = blur_exponent_scale(blur_sigma_nm);
-  const long long cx = l.cx;
-  const long long cy = l.cy;
-  // The irfft below only reads the band columns, and every band entry is
-  // rewritten each call, so the full-grid spectrum can live in a
-  // persistent per-worker buffer (the thread's ScratchArena): only a
-  // geometry change pays the full-size zeroing again.
-  ScratchArena::UpsampleSpec& scratch = tls_scratch_arena().upsample_spec();
-  if (scratch.nx != nx || scratch.ny != ny || scratch.cx != cx ||
-      scratch.cy != cy) {
-    scratch.nx = nx;
-    scratch.ny = ny;
-    scratch.cx = cx;
-    scratch.cy = cy;
-    scratch.spec.assign(nx * ny, Cplx(0.0, 0.0));
+  double* bx = arena.buf(ScratchArena::kBlurX, lane_tiles(nbu) * kLanes);
+  const std::size_t nru = 2 * cy + 1;
+  double* by = arena.buf(ScratchArena::kBlurY, nru);
+  for (std::size_t c = 0; c < lane_tiles(nbu) * kLanes; ++c) {
+    const double fx = static_cast<double>(band_freq(c, cx)) * l.grid.dfx;
+    bx[c] = c >= nbu              ? 0.0
+            : blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * fx * fx)
+                                  : 1.0;
   }
-  // Separable blur factors keep exp() out of the inner loop (SOCS only:
-  // the Abbe engine keeps the fused exponent so its rounding stays exactly
-  // as the reference has always computed it).
-  std::vector<double> bx(static_cast<std::size_t>(2 * cx + 1));
-  std::vector<double> by(static_cast<std::size_t>(2 * cy + 1));
-  for (long long kx = -cx; kx <= cx; ++kx) {
-    const double fx = static_cast<double>(kx) * grid.dfx;
-    bx[static_cast<std::size_t>(kx + cx)] =
-        blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * fx * fx) : 1.0;
+  for (std::size_t r = 0; r < nru; ++r) {
+    const double fy = static_cast<double>(band_freq(r, cy)) * l.grid.dfy;
+    by[r] = blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * fy * fy) : 1.0;
   }
-  for (long long ky = -cy; ky <= cy; ++ky) {
-    const double fy = static_cast<double>(ky) * grid.dfy;
-    by[static_cast<std::size_t>(ky + cy)] =
-        blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * fy * fy) : 1.0;
-  }
-  for (long long ky = -cy; ky <= cy; ++ky) {
-    const double wy = l.up_scale * by[static_cast<std::size_t>(ky + cy)];
-    for (long long kx = -cx; kx <= cx; ++kx) {
-      scratch.spec[spec_index(kx, ky, nx, ny)] =
-          coarse_spec[spec_index(kx, ky, ncx, ncy)] *
-          (wy * bx[static_cast<std::size_t>(kx + cx)]);
-    }
-  }
-  // The intensity spectrum is Hermitian (intensity is real), so the
-  // upsampling inverse can pack two real output rows per transform.
-  const std::vector<double> real_img = irfft_2d_band(
-      scratch.spec, nx, ny, static_cast<std::size_t>(cx < 0 ? 0 : cx));
-  for (std::size_t i = 0; i < nx * ny; ++i) result.data()[i] = real_img[i];
-  return result;
-}
-
-// --- Batched SOCS engine -------------------------------------------------
-//
-// Lane-parallel mirror of the scalar kSocs branch above.  Each helper
-// transcribes the scalar complex arithmetic as the compiler's naive
-// expansion (4-multiply products, componentwise real scaling) so every
-// lane's floating-point sequence — including signed zeros — matches the
-// scalar path bit for bit; see the determinism notes in src/common/fft.h.
-
-namespace {
-
-/// One parity-packed kernel pair applied to the batch: the scalar loop body
-/// (m = M * crop_scale; h = m * phi.real(); odd twist; Hermitian packing)
-/// widened across lanes.  pair/odd flags are uniform per kernel, so they
-/// template-dispatch out of the lane loop.
-template <bool kHasPair, bool kOdd1, bool kOdd2>
-void socs_apply_pair_lanes(const double* spec_re, const double* spec_im,
-                           std::size_t lanes, std::size_t nx, std::size_t ny,
-                           const SpectralGrid& grid, std::size_t ncx,
-                           std::size_t ncy, double crop_scale,
-                           const Cplx* phi1, const Cplx* phi2,
-                           double* field_re, double* field_im) {
-  const std::size_t nb = 2 * static_cast<std::size_t>(grid.kx_max) + 1;
-  (void)nx;
-  std::size_t idx = 0;
-  for (long long ky = -grid.ky_max; ky <= grid.ky_max; ++ky) {
-    const std::size_t ys =
-        ky >= 0 ? static_cast<std::size_t>(ky) : ny - static_cast<std::size_t>(-ky);
-    for (long long kx = -grid.kx_max; kx <= grid.kx_max; ++kx, ++idx) {
-      const double p1 = phi1[idx].real();
-      const double p2 = kHasPair ? phi2[idx].real() : 0.0;
-      const std::size_t c = kx >= 0 ? static_cast<std::size_t>(kx)
-                                    : static_cast<std::size_t>(kx) + nb;
-      const double* POC_RESTRICT sr = spec_re + (c * ny + ys) * lanes;
-      const double* POC_RESTRICT si = spec_im + (c * ny + ys) * lanes;
-      const std::size_t fidx = spec_index(kx, ky, ncx, ncy);
-      double* POC_RESTRICT fr = field_re + fidx * lanes;
-      double* POC_RESTRICT fi = field_im + fidx * lanes;
-      // VEC-LOOP(socs-kernel-apply): independent window lanes of the scalar
-      // kernel-application body.
-      for (std::size_t w = 0; w < lanes; ++w) {
-        const double mr = sr[w] * crop_scale;
-        const double mi = si[w] * crop_scale;
-        const double t1r = mr * p1;
-        const double t1i = mi * p1;
-        const double h1r = kOdd1 ? t1i : t1r;
-        const double h1i = kOdd1 ? -t1r : t1i;
-        if constexpr (kHasPair) {
-          const double t2r = mr * p2;
-          const double t2i = mi * p2;
-          const double h2r = kOdd2 ? t2i : t2r;
-          const double h2i = kOdd2 ? -t2r : t2i;
-          fr[w] = h1r - h2i;
-          fi[w] = h1i + h2r;
-        } else {
-          // Scalar path: h2 stays Cplx(0.0, 0.0) — keep the literal +0.0
-          // operations so signed zeros round-trip identically.
-          fr[w] = h1r - 0.0;
-          fi[w] = h1i + 0.0;
-        }
+  const std::size_t up_size = lane_tiles(nbu) * ny * kLanes;
+  double* up_re = arena.buf(ScratchArena::kUpWorkRe, up_size);
+  double* up_im = arena.buf(ScratchArena::kUpWorkIm, up_size);
+  for (std::size_t t = 0; t < lane_tiles(nbu); ++t) {
+    double* ur = up_re + t * ny * kLanes;
+    double* ui = up_im + t * ny * kLanes;
+    zero_band_gap(ur, ui, cy, ny);
+    for (std::size_t r = 0; r < nru; ++r) {
+      const long long v = band_freq(r, cy);
+      const double wy = l.up_scale * by[r];
+      const double* POC_RESTRICT cr =
+          coarse_re + (t * ncy + freq_slot(v, ncy)) * kLanes;
+      const double* POC_RESTRICT ci =
+          coarse_im + (t * ncy + freq_slot(v, ncy)) * kLanes;
+      double* POC_RESTRICT dr = ur + freq_slot(v, ny) * kLanes;
+      double* POC_RESTRICT di = ui + freq_slot(v, ny) * kLanes;
+      const double* POC_RESTRICT f = bx + t * kLanes;
+      // VEC-LOOP(blur-scatter): coarse * (wy * bx) per band-column lane.
+#pragma GCC unroll 1
+      for (std::size_t w = 0; w < kLanes; ++w) {
+        const double s = wy * f[w];
+        dr[w] = cr[w] * s;
+        di[w] = ci[w] * s;
       }
     }
+    fft_soa(ur, ui, ny, /*inverse=*/true, kLanes, kLanes);
   }
-}
-
-void socs_apply_pair_lanes_dispatch(const double* spec_re,
-                                    const double* spec_im, std::size_t lanes,
-                                    std::size_t nx, std::size_t ny,
-                                    const SpectralGrid& grid, std::size_t ncx,
-                                    std::size_t ncy, double crop_scale,
-                                    bool pair, bool odd1, bool odd2,
-                                    const Cplx* phi1, const Cplx* phi2,
-                                    double* field_re, double* field_im) {
-  const auto call = [&](auto has_pair, auto o1, auto o2) {
-    socs_apply_pair_lanes<decltype(has_pair)::value, decltype(o1)::value,
-                          decltype(o2)::value>(spec_re, spec_im, lanes, nx, ny,
-                                               grid, ncx, ncy, crop_scale,
-                                               phi1, phi2, field_re, field_im);
-  };
-  using T = std::true_type;
-  using F = std::false_type;
-  if (pair) {
-    if (odd1) {
-      odd2 ? call(T{}, T{}, T{}) : call(T{}, T{}, F{});
-    } else {
-      odd2 ? call(T{}, F{}, T{}) : call(T{}, F{}, F{});
+  double* out = result.data().data();
+  for (std::size_t p0 = 0; p0 < pairs; p0 += kLanes) {
+    const std::size_t nw = std::min(kLanes, pairs - p0);
+    std::fill(row_re, row_re + nx * kLanes, 0.0);
+    std::fill(row_im, row_im + nx * kLanes, 0.0);
+    for (std::size_t c = 0; c < nbu; ++c) {
+      const std::size_t x = band_column_storage(c, nx, cx);
+      const std::size_t at = tile_offset(c, 2 * p0, ny);
+      for (std::size_t w = 0; w < nw; ++w) {
+        // w0 + Cplx(0.0, 1.0) * w1, the naive complex product.
+        const double* w0r = up_re + at + 2 * w * kLanes;
+        const double* w0i = up_im + at + 2 * w * kLanes;
+        const double w1r = w0r[kLanes];
+        const double w1i = w0i[kLanes];
+        row_re[x * kLanes + w] = w0r[0] + (0.0 * w1r - 1.0 * w1i);
+        row_im[x * kLanes + w] = w0i[0] + (0.0 * w1i + 1.0 * w1r);
+      }
     }
-  } else {
-    odd1 ? call(F{}, T{}, F{}) : call(F{}, F{}, F{});
-  }
-}
-
-/// Generic (non-parity-packed) kernel application: the accumulate_coherent
-/// scatter loop widened across lanes.  The p == 0 skip is uniform per
-/// spectral sample, so skipped entries stay at the batch-wide zero fill.
-void socs_apply_generic_lanes(const double* spec_re, const double* spec_im,
-                              std::size_t lanes, std::size_t ny,
-                              const SpectralGrid& grid, std::size_t ncx,
-                              std::size_t ncy, double crop_scale,
-                              const Cplx* table, double* field_re,
-                              double* field_im) {
-  const std::size_t nb = 2 * static_cast<std::size_t>(grid.kx_max) + 1;
-  std::size_t idx = 0;
-  for (long long ky = -grid.ky_max; ky <= grid.ky_max; ++ky) {
-    const std::size_t ys =
-        ky >= 0 ? static_cast<std::size_t>(ky) : ny - static_cast<std::size_t>(-ky);
-    for (long long kx = -grid.kx_max; kx <= grid.kx_max; ++kx) {
-      const Cplx p = table[idx++];
-      if (p == Cplx(0.0, 0.0)) continue;
-      const double pr = p.real();
-      const double pi = p.imag();
-      const std::size_t c = kx >= 0 ? static_cast<std::size_t>(kx)
-                                    : static_cast<std::size_t>(kx) + nb;
-      const double* POC_RESTRICT sr = spec_re + (c * ny + ys) * lanes;
-      const double* POC_RESTRICT si = spec_im + (c * ny + ys) * lanes;
-      const std::size_t fidx = spec_index(kx, ky, ncx, ncy);
-      double* POC_RESTRICT fr = field_re + fidx * lanes;
-      double* POC_RESTRICT fi = field_im + fidx * lanes;
-      for (std::size_t w = 0; w < lanes; ++w) {
-        // spectrum * p (naive complex product), then * crop_scale.
-        const double vr = sr[w] * pr - si[w] * pi;
-        const double vi = sr[w] * pi + si[w] * pr;
-        fr[w] = vr * crop_scale;
-        fi[w] = vi * crop_scale;
+    fft_soa(row_re, row_im, nx, /*inverse=*/true, kLanes, kLanes);
+    for (std::size_t w = 0; w < nw; ++w) {
+      double* y0 = out + 2 * (p0 + w) * nx;
+      double* y1 = y0 + nx;
+      for (std::size_t x = 0; x < nx; ++x) {
+        y0[x] = row_re[x * kLanes + w];
+        y1[x] = row_im[x * kLanes + w];
       }
     }
   }
@@ -617,207 +655,32 @@ void socs_apply_generic_lanes(const double* spec_re, const double* spec_im,
 
 }  // namespace
 
-void aerial_image_blurred_socs_batch(const Image2D* const* masks,
-                                     std::size_t count,
-                                     const OpticalSettings& opt,
-                                     double defocus_nm, double blur_sigma_nm,
-                                     const std::vector<SourcePoint>& source,
-                                     const SocsOptions& socs,
-                                     ScratchArena& arena, Image2D* out) {
-  POC_EXPECTS(count > 0);
-  const std::size_t lanes = count;
-  const std::size_t nx = masks[0]->nx();
-  const std::size_t ny = masks[0]->ny();
-  const double pixel = masks[0]->pixel();
-  POC_EXPECTS(is_pow2(nx) && is_pow2(ny));
-  for (std::size_t w = 1; w < count; ++w) {
-    POC_EXPECTS(masks[w]->nx() == nx && masks[w]->ny() == ny &&
-                masks[w]->pixel() == pixel);
+Image2D aerial_image_blurred(const Image2D& mask, const OpticalSettings& opt,
+                             double defocus_nm, double blur_sigma_nm,
+                             const std::vector<SourcePoint>& source,
+                             const ImagingOptions& imaging,
+                             ScratchArena& arena) {
+  const std::size_t nx = mask.nx();
+  const std::size_t ny = mask.ny();
+  POC_EXPECTS(is_pow2(nx) && is_pow2(ny) && nx >= 2 && ny >= 2);
+  const CropLayout l = crop_layout(nx, ny, mask.pixel(), opt);
+  Image2D result(nx, ny, mask.pixel(), mask.origin_x(), mask.origin_y());
+  if (imaging.mode == ImagingMode::kAbbe) {
+    abbe_aerial_image(mask, opt, defocus_nm, blur_sigma_nm, source, l, arena,
+                      result);
+  } else {
+    socs_aerial_image(mask, opt, defocus_nm, blur_sigma_nm, source,
+                      imaging.socs, l, arena, result);
   }
+  return result;
+}
 
-  // Spectral layout: the same arithmetic on the same inputs as the scalar
-  // path, so every derived quantity (and the memoized kernel set) matches.
-  const CropLayout l = crop_layout(nx, ny, pixel, opt);
-  const SpectralGrid& grid = l.grid;
-  const long long kx_max = grid.kx_max;
-  const std::size_t ncx = l.ncx;
-  const std::size_t ncy = l.ncy;
-
-  const std::shared_ptr<const SocsKernels> kernels =
-      socs_kernels(opt, source, defocus_nm, grid, socs);
-
-  // Shared per-call setup: blur factor tables and the persistent upsample
-  // spectrum (sized for the whole batch; each tile below owns a contiguous
-  // nbu*ny*nw slice of it).
-  const std::size_t nb = 2 * static_cast<std::size_t>(kx_max) + 1;
-  const std::size_t nc = ncx * ncy;
-  const double crop_scale = l.crop_scale;
-  const double up_scale = l.up_scale;
-  const double two_pi2_s2 = blur_exponent_scale(blur_sigma_nm);
-  const double dfx = grid.dfx;
-  const double dfy = grid.dfy;
-  const long long cx = l.cx;
-  const long long cy = l.cy;
-  std::vector<double>& bx = arena.blur_x();
-  std::vector<double>& by = arena.blur_y();
-  bx.resize(static_cast<std::size_t>(2 * cx + 1));
-  by.resize(static_cast<std::size_t>(2 * cy + 1));
-  for (long long kx = -cx; kx <= cx; ++kx) {
-    const double fx = static_cast<double>(kx) * dfx;
-    bx[static_cast<std::size_t>(kx + cx)] =
-        blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * fx * fx) : 1.0;
-  }
-  for (long long ky = -cy; ky <= cy; ++ky) {
-    const double fy = static_cast<double>(ky) * dfy;
-    by[static_cast<std::size_t>(ky + cy)] =
-        blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * fy * fy) : 1.0;
-  }
-  const std::size_t kxu = static_cast<std::size_t>(cx < 0 ? 0 : cx);
-  const std::size_t nbu = 2 * kxu + 1;
-
-  // The batch runs in fixed-width lane tiles: kTileLanes doubles is one
-  // AVX2 vector, so every inner lane loop fills a SIMD register, while the
-  // per-tile working set (field + intensity + the touched band rows of the
-  // tile spectrum, ~1.6 MiB at fine quality) stays cache-resident the way
-  // the scalar path's per-window buffers do — full-batch-wide buffers
-  // would stream through L2 on every butterfly stage instead.  Tiling only
-  // partitions the independent lane dimension, so results stay
-  // bit-identical for every tile width.
-  constexpr std::size_t kTileLanes = 4;
-  for (std::size_t w0 = 0; w0 < lanes; w0 += kTileLanes) {
-    const std::size_t nw = std::min(kTileLanes, lanes - w0);
-
-    // Pack: batched real-input band transform of the tile's masks.
-    double* row_re = arena.buf(ScratchArena::kRowRe, nx * nw);
-    double* row_im = arena.buf(ScratchArena::kRowIm, nx * nw);
-    double* spec_re = arena.buf(ScratchArena::kSpecRe, nb * ny * nw);
-    double* spec_im = arena.buf(ScratchArena::kSpecIm, nb * ny * nw);
-    std::vector<const double*>& src = arena.src_ptrs();
-    src.resize(nw);
-    for (std::size_t w = 0; w < nw; ++w) src[w] = masks[w0 + w]->data().data();
-    rfft_2d_band_soa(src.data(), nw, nx, ny, static_cast<std::size_t>(kx_max),
-                     spec_re, spec_im, row_re, row_im);
-
-    // Compute: coherent systems accumulate on the coarse grid in fixed
-    // kernel order, each one a tile-wide zero fill + scatter + band inverse
-    // + add.
-    double* intensity = arena.buf(ScratchArena::kIntensity, nc * nw);
-    double* field_re = arena.buf(ScratchArena::kFieldRe, nc * nw);
-    double* field_im = arena.buf(ScratchArena::kFieldIm, nc * nw);
-    std::fill(intensity, intensity + nc * nw, 0.0);
-
-    if (kernels->parity_packable()) {
-      const std::size_t nk = kernels->kernels.size();
-      for (std::size_t k = 0; k < nk; k += 2) {
-        const bool pair = k + 1 < nk;
-        std::fill(field_re, field_re + nc * nw, 0.0);
-        std::fill(field_im, field_im + nc * nw, 0.0);
-        const bool odd1 = kernels->parity[k] == 2;
-        const bool odd2 = pair && kernels->parity[k + 1] == 2;
-        socs_apply_pair_lanes_dispatch(
-            spec_re, spec_im, nw, nx, ny, grid, ncx, ncy, crop_scale, pair,
-            odd1, odd2, kernels->kernels[k].data(),
-            pair ? kernels->kernels[k + 1].data() : nullptr, field_re,
-            field_im);
-        fft_2d_band_inverse_soa(field_re, field_im, ncx, ncy,
-                                static_cast<std::size_t>(grid.kx_max), nw);
-        const double w1 = kernels->weights[k];
-        double* POC_RESTRICT acc = intensity;
-        const double* POC_RESTRICT fr = field_re;
-        const double* POC_RESTRICT fi = field_im;
-        if (pair) {
-          const double w2 = kernels->weights[k + 1];
-          for (std::size_t j = 0; j < nc * nw; ++j) {
-            acc[j] += w1 * fr[j] * fr[j] + w2 * fi[j] * fi[j];
-          }
-        } else {
-          for (std::size_t j = 0; j < nc * nw; ++j) {
-            acc[j] += w1 * fr[j] * fr[j];
-          }
-        }
-      }
-    } else {
-      for (std::size_t k = 0; k < kernels->kernels.size(); ++k) {
-        std::fill(field_re, field_re + nc * nw, 0.0);
-        std::fill(field_im, field_im + nc * nw, 0.0);
-        socs_apply_generic_lanes(spec_re, spec_im, nw, ny, grid, ncx, ncy,
-                                 crop_scale, kernels->kernels[k].data(),
-                                 field_re, field_im);
-        fft_2d_band_inverse_soa(field_re, field_im, ncx, ncy,
-                                static_cast<std::size_t>(grid.kx_max), nw);
-        const double weight = kernels->weights[k];
-        double* POC_RESTRICT acc = intensity;
-        const double* POC_RESTRICT fr = field_re;
-        const double* POC_RESTRICT fi = field_im;
-        for (std::size_t j = 0; j < nc * nw; ++j) {
-          acc[j] += weight * (fr[j] * fr[j] + fi[j] * fi[j]);
-        }
-      }
-    }
-
-    // Upsample + blur: forward transform of the coarse intensity, then a
-    // separable-blur scatter straight into the compact band spectrum the
-    // inverse below consumes in place.  The scatter rewrites every band
-    // entry within blur reach (rows 0..cy and ny-cy..ny-1 of each band
-    // column) and the fill covers the rows beyond reach, so the whole
-    // spectrum is rebuilt each call — no persistent zero-padded buffer,
-    // and none of the multi-MiB defensive copy irfft_2d_band_soa would
-    // make of one.
-    double* coarse_re = arena.buf(ScratchArena::kCoarseRe, nc * nw);
-    double* coarse_im = arena.buf(ScratchArena::kCoarseIm, nc * nw);
-    for (std::size_t j = 0; j < nc * nw; ++j) {
-      coarse_re[j] = intensity[j];
-      coarse_im[j] = 0.0;
-    }
-    fft_2d_soa(coarse_re, coarse_im, ncx, ncy, /*inverse=*/false, nw);
-
-    double* const up_re = arena.buf(ScratchArena::kUpWorkRe, nbu * ny * nw);
-    double* const up_im = arena.buf(ScratchArena::kUpWorkIm, nbu * ny * nw);
-    const std::size_t mid_lo = static_cast<std::size_t>(cy) + 1;
-    const std::size_t mid_rows = ny - (2 * static_cast<std::size_t>(cy) + 1);
-    for (std::size_t c = 0; c < nbu; ++c) {
-      double* mr = up_re + (c * ny + mid_lo) * nw;
-      double* mi = up_im + (c * ny + mid_lo) * nw;
-      std::fill(mr, mr + mid_rows * nw, 0.0);
-      std::fill(mi, mi + mid_rows * nw, 0.0);
-    }
-    for (long long ky = -cy; ky <= cy; ++ky) {
-      const double wy = up_scale * by[static_cast<std::size_t>(ky + cy)];
-      const std::size_t ys = ky >= 0 ? static_cast<std::size_t>(ky)
-                                     : ny - static_cast<std::size_t>(-ky);
-      for (long long kx = -cx; kx <= cx; ++kx) {
-        const double f = wy * bx[static_cast<std::size_t>(kx + cx)];
-        const std::size_t c = kx >= 0 ? static_cast<std::size_t>(kx)
-                                      : static_cast<std::size_t>(kx) + nbu;
-        const std::size_t sidx = spec_index(kx, ky, ncx, ncy);
-        const double* POC_RESTRICT cr = coarse_re + sidx * nw;
-        const double* POC_RESTRICT ci = coarse_im + sidx * nw;
-        double* POC_RESTRICT ur = up_re + (c * ny + ys) * nw;
-        double* POC_RESTRICT ui = up_im + (c * ny + ys) * nw;
-        // VEC-LOOP(blur-scatter): componentwise coarse * (wy * bx) per lane.
-        for (std::size_t w = 0; w < nw; ++w) {
-          ur[w] = cr[w] * f;
-          ui[w] = ci[w] * f;
-        }
-      }
-    }
-
-    // Unpack: batched Hermitian inverse straight into the tile's output
-    // images, in window-index order.
-    std::vector<double*>& dst = arena.dst_ptrs();
-    dst.resize(nw);
-    for (std::size_t w = 0; w < nw; ++w) {
-      const Image2D& mk = *masks[w0 + w];
-      Image2D& o = out[w0 + w];
-      if (o.nx() != nx || o.ny() != ny || o.pixel() != mk.pixel() ||
-          o.origin_x() != mk.origin_x() || o.origin_y() != mk.origin_y()) {
-        o = Image2D(nx, ny, mk.pixel(), mk.origin_x(), mk.origin_y());
-      }
-      dst[w] = o.data().data();
-    }
-    irfft_2d_band_soa_inplace(up_re, up_im, nw, nx, ny, kxu, row_re, row_im,
-                              dst.data());
-  }
+Image2D aerial_image_blurred(const Image2D& mask, const OpticalSettings& opt,
+                             double defocus_nm, double blur_sigma_nm,
+                             const std::vector<SourcePoint>& source,
+                             const ImagingOptions& imaging) {
+  return aerial_image_blurred(mask, opt, defocus_nm, blur_sigma_nm, source,
+                              imaging, tls_scratch_arena());
 }
 
 Image2D aerial_image_blurred(const Image2D& mask, const OpticalSettings& opt,

@@ -18,8 +18,10 @@
 //    of lambda_k |kernel_k * mask|^2 with K << S transforms, plus packed
 //    real-input/real-output band transforms the reference path cannot use
 //    (they round differently, and the reference must stay bit-identical to
-//    the goldens).  See DESIGN.md ablation 8 for the K vs CD-error vs speed
-//    trade.
+//    the goldens).  Its transforms run four spans at a time inside the
+//    window too, bit for bit the same as the scalar band transforms in
+//    src/common/fft.h (DESIGN.md "In-window lanes (SOCS)").  See DESIGN.md
+//    ablation 8 for the K vs CD-error vs speed trade.
 #pragma once
 
 #include <cstdint>
@@ -37,23 +39,12 @@ enum class ImagingMode : std::uint8_t {
   kSocs,  ///< Truncated coherent-kernel summation; the fast path.
 };
 
-/// batch_windows value meaning "follow the parallel chunk size" (the flow
-/// hands each worker chunk to the batched engine whole).
-inline constexpr std::size_t kBatchWindowsAuto = static_cast<std::size_t>(-1);
-
 /// Imaging engine selection plus the SOCS truncation knobs (ignored under
 /// kAbbe).  Part of every window fingerprint downstream: Abbe and SOCS
 /// results, or SOCS results at different kernel budgets, never alias.
 struct ImagingOptions {
   ImagingMode mode = ImagingMode::kAbbe;
   SocsOptions socs;
-  /// Windows per SoA batch in the flow hot loops (SOCS windows only; the
-  /// Abbe engine's lanes stay within one window).  0 disables batching
-  /// entirely; kBatchWindowsAuto follows the parallel chunk size.  Purely a
-  /// performance knob: every batch size produces bit-identical results, so
-  /// this field is deliberately EXCLUDED from cache and journal
-  /// fingerprints (flow.cpp hash_imaging; enforced by test).
-  std::size_t batch_windows = kBatchWindowsAuto;
 };
 
 /// Computes aerial intensity on the same grid as `mask` (transmission in
@@ -98,21 +89,12 @@ Image2D aerial_image_blurred(const Image2D& mask, const OpticalSettings& opt,
 
 class ScratchArena;  // src/litho/batch.h
 
-/// Batched SOCS engine: images `count` same-shape (nx, ny, pixel) masks in
-/// one structure-of-arrays pass through the band FFT / coherent-kernel /
-/// separable-blur chain, writing blurred aerial images to out[0..count).
-/// Lane w is bit-identical to the scalar kSocs aerial_image_blurred of
-/// masks[w] alone — batching widens each scalar floating-point operation
-/// across window lanes without reordering or fusing any of them.  All
-/// scratch comes from `arena`; when the arena is warm and out[w] already
-/// has the right geometry, the call performs no heap allocation.  Most
-/// callers want the aerial_image_blurred_batch wrapper in batch.h.
-void aerial_image_blurred_socs_batch(const Image2D* const* masks,
-                                     std::size_t count,
-                                     const OpticalSettings& opt,
-                                     double defocus_nm, double blur_sigma_nm,
-                                     const std::vector<SourcePoint>& source,
-                                     const SocsOptions& socs,
-                                     ScratchArena& arena, Image2D* out);
+/// Same, with every scratch buffer taken from `arena` (the overload above
+/// uses the calling thread's, tls_scratch_arena()).  Bit-identical to it.
+Image2D aerial_image_blurred(const Image2D& mask, const OpticalSettings& opt,
+                             double defocus_nm, double blur_sigma_nm,
+                             const std::vector<SourcePoint>& source,
+                             const ImagingOptions& imaging,
+                             ScratchArena& arena);
 
 }  // namespace poc

@@ -4,7 +4,6 @@
 
 #include "src/common/error.h"
 #include "src/common/fault.h"
-#include "src/litho/batch.h"
 #include "src/litho/imaging.h"
 #include "src/litho/mask.h"
 
@@ -74,10 +73,14 @@ std::vector<Image2D> LithoSimulator::latent_batch(
   const QualityContext& ctx = quality_context(quality);
   ImagingOptions imaging = imaging_;
   if (mode) imaging.mode = *mode;
-  std::vector<Image2D> out = aerial_image_blurred_batch(
-      masks, count, ctx.optics, exposure.focus_nm, resist_.diffusion_nm,
-      ctx.source, imaging, arena);
-  for (Image2D& latent : out) finish_latent(latent, exposure);
+  std::vector<Image2D> out;
+  out.reserve(count);
+  for (std::size_t w = 0; w < count; ++w) {
+    out.push_back(aerial_image_blurred(*masks[w], ctx.optics,
+                                       exposure.focus_nm, resist_.diffusion_nm,
+                                       ctx.source, imaging, arena));
+    finish_latent(out.back(), exposure);
+  }
   return out;
 }
 

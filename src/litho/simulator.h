@@ -62,18 +62,14 @@ class LithoSimulator {
                  std::optional<ImagingMode> mode = std::nullopt) const;
 
   /// The mask transmission grid latent() images: rasterized at the quality
-  /// preset's pixel pitch.  The batched hot loops rasterize per window and
-  /// hand same-shape groups to latent_batch below.
+  /// preset's pixel pitch.
   Image2D rasterize(const std::vector<Rect>& features, const Rect& window,
                     LithoQuality quality = LithoQuality::kStandard) const;
 
-  /// latent() for a batch of same-shape pre-rasterized masks: images all
-  /// `count` masks through the batched SoA engine (SOCS; the Abbe reference
-  /// images the masks one at a time inside the batch layer) and
-  /// finishes each in ascending batch order.  Element w is bit-identical to
-  /// latent() over the features that rasterized masks[w] — batching never
-  /// changes values, only amortizes the transforms.  Scratch comes from
-  /// `arena` (per worker; see tls_scratch_arena).
+  /// latent() for `count` pre-rasterized masks of any shapes and origins,
+  /// imaged and finished one at a time in ascending order.  Element w is
+  /// bit-identical to latent() over the features that rasterized masks[w].
+  /// Scratch comes from `arena` (per worker; see tls_scratch_arena).
   std::vector<Image2D> latent_batch(const Image2D* const* masks,
                                     std::size_t count,
                                     const Exposure& exposure,
@@ -81,15 +77,15 @@ class LithoSimulator {
                                     std::optional<ImagingMode> mode =
                                         std::nullopt) const;
 
-  /// The resist-side tail of latent(): dose scaling plus the non-finite
-  /// guard (and its fault-injection probe).  latent() and latent_batch()
-  /// share it so a batched window finishes through exactly the scalar code.
-  void finish_latent(Image2D& latent, const Exposure& exposure) const;
-
   /// The print threshold contour level in the latent image.
   double print_threshold() const { return resist_.threshold; }
 
  private:
+  /// The resist-side tail of latent(): dose scaling plus the non-finite
+  /// guard (and its fault-injection probe), shared by latent() and
+  /// latent_batch().
+  void finish_latent(Image2D& latent, const Exposure& exposure) const;
+
   /// Per-quality imaging resources, built once at construction: the
   /// quality-adjusted optical settings and the discretized source.  The
   /// window loops call aerial/latent millions of times; recomputing the

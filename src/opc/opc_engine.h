@@ -75,15 +75,6 @@ struct OpcResult {
   std::vector<Rect> mask_rects() const;
 };
 
-class ScratchArena;  // src/litho/batch.h
-
-/// One window's inputs for OpcEngine::correct_batch.  `targets` must
-/// outlive the call and be non-empty.
-struct OpcBatchJob {
-  const std::vector<Polygon>* targets = nullptr;
-  Rect window;
-};
-
 class OpcEngine {
  public:
   OpcEngine(const LithoSimulator& sim, OpcOptions options = {})
@@ -96,21 +87,6 @@ class OpcEngine {
   OpcResult correct(const std::vector<Polygon>& targets, const Rect& window,
                     const Exposure& nominal = {}) const;
 
-  /// correct() over a batch of windows, advanced in lockstep so each
-  /// iteration's latent images run through the batched SoA engine (grouped
-  /// by quality/imaging phase and raster shape; Abbe-phase windows fall back
-  /// to scalar latents).  A window's correction trajectory depends only on
-  /// its own latents, and each batched latent is bit-identical to the
-  /// scalar one, so results[j] == correct(*jobs[j].targets, jobs[j].window,
-  /// nominal) bit for bit — windows that converge early simply drop out of
-  /// later batches.  Throws exactly like correct() (non-convergence abort,
-  /// fault injection); callers that need per-window containment run windows
-  /// individually.
-  std::vector<OpcResult> correct_batch(const OpcBatchJob* jobs,
-                                       std::size_t count,
-                                       const Exposure& nominal,
-                                       ScratchArena& arena) const;
-
   /// Measures EPE at each fragment of `fragments` for an arbitrary mask
   /// (used by ORC and by the convergence bench to score uncorrected masks).
   /// `mode` overrides the simulator's imaging engine for this measurement.
@@ -119,29 +95,9 @@ class OpcEngine {
                    const Exposure& exposure, LithoQuality quality,
                    std::optional<ImagingMode> mode = std::nullopt) const;
 
-  /// The probe half of measure_epe over an already-computed latent image —
-  /// the batched paths (correct_batch, staged ORC) reuse the scalar probe
-  /// code verbatim against their batch-produced latents.
-  void probe_epe_on(const Image2D& latent,
-                    std::vector<Fragment>& fragments) const;
-
   const OpcOptions& options() const { return options_; }
 
  private:
-  /// Initializes one window's OpcResult (fragmentation, boundary freeze,
-  /// SRAFs) — the pre-iteration head shared by correct and correct_batch.
-  OpcResult init_correction(const std::vector<Polygon>& targets,
-                            const Rect& window) const;
-  /// Post-measurement half of one correction iteration: EPE statistics,
-  /// convergence / handoff bookkeeping (quality is advanced in place) and
-  /// the fragment moves.  Returns true when the window is done iterating.
-  /// Shared by correct and correct_batch so their trajectories cannot
-  /// drift apart.
-  bool update_after_measure(OpcResult& result, LithoQuality& quality,
-                            std::size_t iter) const;
-  /// Non-convergence abort check + completion log (tail of correct()).
-  void finish_correction(const OpcResult& result) const;
-
   const LithoSimulator* sim_;
   OpcOptions options_;
 };

@@ -20,24 +20,14 @@ std::string OrcViolation::describe() const {
   return os.str();
 }
 
-namespace {
-
-/// Everything downstream of the two latent computations: EPE scoring over
-/// already-measured fragments, pinch and bridge probes against the silicon
-/// latent.  Shared by the scalar and staged overloads so they cannot drift.
-OrcReport score_orc(const Image2D& latent, double th,
-                    const std::vector<Polygon>& targets,
-                    const std::vector<Fragment>& frags,
-                    const OrcOptions& options);
-
-}  // namespace
-
 OrcReport run_orc(const LithoSimulator& sim, const OpcEngine& engine,
                   const std::vector<Polygon>& targets,
                   const std::vector<Rect>& mask_rects, const Rect& window,
                   const Exposure& exposure, const OrcOptions& options) {
+  OrcReport report;
   const Image2D latent =
       sim.latent(mask_rects, window, exposure, options.quality);
+  const double th = sim.print_threshold();
 
   // --- EPE at every target fragment ---
   std::vector<Fragment> frags =
@@ -46,30 +36,6 @@ OrcReport run_orc(const LithoSimulator& sim, const OpcEngine& engine,
       frags, window,
       static_cast<DbUnit>(engine.options().probe_outside_nm) + 60);
   engine.measure_epe(frags, mask_rects, window, exposure, options.quality);
-  return score_orc(latent, sim.print_threshold(), targets, frags, options);
-}
-
-OrcReport run_orc_staged(const LithoSimulator& sim, const OpcEngine& engine,
-                         const std::vector<Polygon>& targets,
-                         const Rect& window, const OrcLatents& latents,
-                         const OrcOptions& options) {
-  std::vector<Fragment> frags =
-      fragment_polygons(targets, engine.options().fragmentation);
-  freeze_outside_window(
-      frags, window,
-      static_cast<DbUnit>(engine.options().probe_outside_nm) + 60);
-  engine.probe_epe_on(latents.model, frags);
-  return score_orc(latents.silicon, sim.print_threshold(), targets, frags,
-                   options);
-}
-
-namespace {
-
-OrcReport score_orc(const Image2D& latent, const double th,
-                    const std::vector<Polygon>& targets,
-                    const std::vector<Fragment>& frags,
-                    const OrcOptions& options) {
-  OrcReport report;
   double sum_sq = 0.0;
   std::size_t counted = 0;
   for (const Fragment& f : frags) {
@@ -141,9 +107,8 @@ OrcReport score_orc(const Image2D& latent, const double th,
       }
     }
   }
+  (void)window;
   return report;
 }
-
-}  // namespace
 
 }  // namespace poc

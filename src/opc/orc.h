@@ -46,22 +46,4 @@ OrcReport run_orc(const LithoSimulator& sim, const OpcEngine& engine,
                   const std::vector<Rect>& mask_rects, const Rect& window,
                   const Exposure& exposure, const OrcOptions& options = {});
 
-/// The two latent images one run_orc call consumes: the silicon print
-/// (`sim` above; pinch/bridge probes and the report's reference) and the
-/// OPC model's latent (the engine's simulator; EPE measurement).  The
-/// batched hotspot scan computes these through the SoA engine for a whole
-/// chunk of windows and hands them in pre-staged.
-struct OrcLatents {
-  Image2D silicon;
-  Image2D model;
-};
-
-/// run_orc over pre-computed latents.  Staged latents must equal what the
-/// scalar calls would produce — the batched engine guarantees this bit for
-/// bit — so both overloads return identical reports.
-OrcReport run_orc_staged(const LithoSimulator& sim, const OpcEngine& engine,
-                         const std::vector<Polygon>& targets,
-                         const Rect& window, const OrcLatents& latents,
-                         const OrcOptions& options = {});
-
 }  // namespace poc

@@ -22,7 +22,6 @@
 // decides *where* a chunk runs, never what it writes.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -152,22 +151,6 @@ class ThreadPool {
 /// Number of threads `requested` resolves to: 0 = hardware concurrency,
 /// otherwise the value itself (minimum 1).
 std::size_t resolve_threads(std::size_t requested);
-
-/// The contiguous chunk [lo, hi) that item `i` belongs to under
-/// parallel_for's fixed partitioning (chunk c covers [c*chunk,
-/// min((c+1)*chunk, n))).  Pure arithmetic on (n, chunk, i) — the batched
-/// hot loops use it to recognize the first index of their chunk and stage
-/// the whole chunk's work there (one worker owns a chunk end to end, so
-/// per-chunk staging needs no synchronization).
-struct ChunkSpan {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-};
-inline ChunkSpan chunk_span(std::size_t n, std::size_t chunk, std::size_t i) {
-  POC_EXPECTS(chunk >= 1 && i < n);
-  const std::size_t lo = (i / chunk) * chunk;
-  return {lo, std::min(lo + chunk, n)};
-}
 
 /// Shared process-wide pool used by the free parallel_for below.  Lazily
 /// constructed with enough workers that a `threads` request up to at least

@@ -513,49 +513,9 @@ TEST(CacheFlowFaults, EscalatedRetryNeverPoisonsNominalFingerprints) {
   expect_same_extraction(cached.extract({}), reference.extract({}));
 }
 
-TEST(CacheFlowBatch, BatchOfMissesKeepsCacheObservablesIdentical) {
-  // The batched hot loops assemble a chunk by *peeking* the cache (no
-  // counters, no LRU touch) and batch-compute only the misses; the
-  // authoritative find + insert still run per index, in ascending order
-  // within the chunk.  So a chunk full of identical cold windows — a batch
-  // of misses — must behave exactly like the scalar loop: the first index
-  // inserts, the rest hit or have their duplicate insert dropped
-  // (first-insert-wins), and every counter the cache exposes matches the
-  // unbatched run at one thread.
-  PlacedDesign design = place_and_route(make_c17(), lib());
-  const auto run = [&](std::size_t batch) {
-    FlowOptions opts = flow_options(1, /*cache=*/true);
-    opts.imaging.mode = ImagingMode::kSocs;
-    opts.imaging.batch_windows = batch;
-    auto flow =
-        std::make_unique<PostOpcFlow>(design, lib(), LithoSimulator{}, opts);
-    flow->run_opc(OpcMode::kModelBased);
-    return flow;
-  };
-  const auto scalar = run(0);
-  const auto batched = run(kBatchWindowsAuto);
-  expect_same_masks(*scalar, *batched, design.layout.num_instances());
-  expect_same_extraction(scalar->extract({}), batched->extract({}));
-  const auto expect_same_counters = [](const CacheCounters& a,
-                                       const CacheCounters& b,
-                                       const char* which) {
-    EXPECT_EQ(a.hits, b.hits) << which;
-    EXPECT_EQ(a.misses, b.misses) << which;
-    EXPECT_EQ(a.insertions, b.insertions) << which;
-    EXPECT_EQ(a.rejected, b.rejected) << which;
-    EXPECT_EQ(a.entries, b.entries) << which;
-    EXPECT_EQ(a.bytes, b.bytes) << which;
-  };
-  expect_same_counters(scalar->cache_counters().opc,
-                       batched->cache_counters().opc, "opc");
-  expect_same_counters(scalar->cache_counters().latent,
-                       batched->cache_counters().latent, "latent");
-}
-
 TEST(ShardedCache, PeekNeitherCountsNorTouchesLru) {
-  // peek() is the batched loops' assembly probe: it must see exactly what
-  // find() would, without perturbing any observable — counters or
-  // eviction order.
+  // peek() must see exactly what find() would, without perturbing any
+  // observable — counters or eviction order.
   ShardedCache<int> cache(1 << 12);
   cache.insert(key(1), std::make_shared<int>(1), 1);
   EXPECT_NE(cache.peek(key(1)), nullptr);

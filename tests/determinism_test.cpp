@@ -208,96 +208,86 @@ TEST(DeterminismSocs, SocsFlowBitIdenticalAcrossThreads) {
   EXPECT_EQ(a.worst_slack_change_pct, b.worst_slack_change_pct);
 }
 
-TEST(DeterminismBatch, BatchWidthIsAPurePerformanceKnob) {
-  // The batched SoA engine's contract: ImagingOptions::batch_windows is a
-  // pure performance knob.  batch_windows = 0 runs the exact pre-batching
-  // scalar loop; every other width — including kBatchWindowsAuto, which
-  // resolves to the full parallel chunk — must reproduce its masks, OPC
-  // stats, per-gate CDs and annotated worst slack bit for bit, at 1 and 4
-  // threads.  Model-based OPC exercises both the draft-quality SOCS
-  // iterations and the sign-off pass inside correct_batch's lockstep loop.
+/// The three imaging schedules the flow runs: Abbe everywhere, SOCS for the
+/// draft OPC iterations only, and SOCS end to end.
+struct EngineCase {
+  const char* name;
+  ImagingMode flow_mode;
+  OpcImaging opc_draft;
+};
+constexpr EngineCase kEngines[] = {
+    {"abbe", ImagingMode::kAbbe, OpcImaging::kFollowSimulator},
+    {"socs_draft", ImagingMode::kAbbe, OpcImaging::kSocs},
+    {"socs_full", ImagingMode::kSocs, OpcImaging::kFollowSimulator},
+};
+
+FlowOptions engine_options(const EngineCase& e, std::size_t threads) {
+  FlowOptions opts = options_with_threads(threads);
+  opts.imaging.mode = e.flow_mode;
+  opts.opc.sim_imaging = e.opc_draft;
+  return opts;
+}
+
+TEST(DeterminismEngines, FlowBitIdenticalAcrossThreads) {
+  // Under every imaging schedule, masks, OPC stats, per-gate CDs and the
+  // annotated worst slack are bit-identical at 1 and 4 threads.
   PlacedDesign design = place_and_route(make_c17(), lib());
-  const auto run = [&](std::size_t batch, std::size_t threads) {
-    FlowOptions opts = options_with_threads(threads);
-    opts.imaging.mode = ImagingMode::kSocs;
-    opts.imaging.batch_windows = batch;
-    auto flow =
-        std::make_unique<PostOpcFlow>(design, lib(), LithoSimulator{}, opts);
-    flow->run_opc(OpcMode::kModelBased);
-    return flow;
-  };
-  const auto scalar = run(0, 1);
-  const std::vector<GateExtraction> scalar_ext = scalar->extract({});
-  const TimingComparison scalar_cmp = scalar->compare_timing();
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                  kBatchWindowsAuto}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const auto batched = run(batch, threads);
-      EXPECT_EQ(scalar->opc_stats().iterations,
-                batched->opc_stats().iterations);
-      EXPECT_EQ(scalar->opc_stats().rms_epe_sum,
-                batched->opc_stats().rms_epe_sum);
-      for (std::size_t i = 0; i < design.layout.num_instances(); ++i) {
-        const std::vector<Rect>& ma = scalar->mask_for_instance(i);
-        const std::vector<Rect>& mb = batched->mask_for_instance(i);
-        ASSERT_EQ(ma.size(), mb.size()) << "instance " << i;
-        for (std::size_t r = 0; r < ma.size(); ++r) {
-          EXPECT_EQ(ma[r], mb[r]) << "instance " << i << " rect " << r;
-        }
+  for (const EngineCase& e : kEngines) {
+    SCOPED_TRACE(e.name);
+    PostOpcFlow serial(design, lib(), LithoSimulator{}, engine_options(e, 1));
+    PostOpcFlow parallel(design, lib(), LithoSimulator{},
+                         engine_options(e, 4));
+    serial.run_opc(OpcMode::kModelBased);
+    parallel.run_opc(OpcMode::kModelBased);
+    EXPECT_EQ(serial.opc_stats().iterations, parallel.opc_stats().iterations);
+    EXPECT_EQ(serial.opc_stats().rms_epe_sum,
+              parallel.opc_stats().rms_epe_sum);
+    for (std::size_t i = 0; i < design.layout.num_instances(); ++i) {
+      const std::vector<Rect>& ma = serial.mask_for_instance(i);
+      const std::vector<Rect>& mb = parallel.mask_for_instance(i);
+      ASSERT_EQ(ma.size(), mb.size()) << "instance " << i;
+      for (std::size_t r = 0; r < ma.size(); ++r) {
+        EXPECT_EQ(ma[r], mb[r]) << "instance " << i << " rect " << r;
       }
-      expect_same_extraction(scalar_ext, batched->extract({}));
-      const TimingComparison cmp = batched->compare_timing();
-      EXPECT_EQ(scalar_cmp.annotated.worst_slack, cmp.annotated.worst_slack)
-          << "batch=" << batch << " threads=" << threads;
-      EXPECT_EQ(scalar_cmp.annotated.total_leakage_ua,
-                cmp.annotated.total_leakage_ua);
     }
+    expect_same_extraction(serial.extract({}), parallel.extract({}));
+    const TimingComparison a = serial.compare_timing();
+    const TimingComparison b = parallel.compare_timing();
+    EXPECT_EQ(a.annotated.worst_slack, b.annotated.worst_slack);
+    EXPECT_EQ(a.annotated.total_leakage_ua, b.annotated.total_leakage_ua);
   }
 }
 
-TEST(DeterminismBatch, HotspotScanBitIdenticalAcrossBatchWidths) {
-  // The scan stages two latents per (window, corner) through the batched
-  // engine; violation lists and order must match the scalar loop exactly.
+TEST(DeterminismEngines, HotspotScanBitIdenticalAcrossThreads) {
+  // The scan images two latents per (window, corner); violation lists and
+  // order match at 1 and 4 threads under every imaging schedule.
   PlacedDesign design = place_and_route(make_c17(), lib());
   OrcOptions orc;
   orc.epe_limit_nm = 6.0;
   const std::vector<ProcessCorner> corners{{"nominal", {0.0, 1.0}},
                                            {"stress", {150.0, 1.08}}};
-  const auto scan = [&](std::size_t batch, std::size_t threads) {
-    FlowOptions opts = options_with_threads(threads);
-    opts.imaging.mode = ImagingMode::kSocs;
-    opts.imaging.batch_windows = batch;
-    PostOpcFlow flow(design, lib(), LithoSimulator{}, opts);
-    flow.run_opc(OpcMode::kModelBased);
-    return flow.scan_hotspots(corners, orc);
-  };
-  const auto a = scan(0, 1);
-  const auto b = scan(kBatchWindowsAuto, 4);
-  EXPECT_EQ(a.windows_checked, b.windows_checked);
-  EXPECT_EQ(a.pinches, b.pinches);
-  EXPECT_EQ(a.bridges, b.bridges);
-  EXPECT_EQ(a.epe_violations, b.epe_violations);
-  ASSERT_EQ(a.hotspots.size(), b.hotspots.size());
-  for (std::size_t h = 0; h < a.hotspots.size(); ++h) {
-    EXPECT_EQ(a.hotspots[h].instance, b.hotspots[h].instance);
-    EXPECT_EQ(a.hotspots[h].exposure_name, b.hotspots[h].exposure_name);
-    EXPECT_EQ(a.hotspots[h].violation.value_nm, b.hotspots[h].violation.value_nm);
+  for (const EngineCase& e : kEngines) {
+    SCOPED_TRACE(e.name);
+    const auto scan = [&](std::size_t threads) {
+      PostOpcFlow flow(design, lib(), LithoSimulator{},
+                       engine_options(e, threads));
+      flow.run_opc(OpcMode::kModelBased);
+      return flow.scan_hotspots(corners, orc);
+    };
+    const auto a = scan(1);
+    const auto b = scan(4);
+    EXPECT_EQ(a.windows_checked, b.windows_checked);
+    EXPECT_EQ(a.pinches, b.pinches);
+    EXPECT_EQ(a.bridges, b.bridges);
+    EXPECT_EQ(a.epe_violations, b.epe_violations);
+    ASSERT_EQ(a.hotspots.size(), b.hotspots.size());
+    for (std::size_t h = 0; h < a.hotspots.size(); ++h) {
+      EXPECT_EQ(a.hotspots[h].instance, b.hotspots[h].instance);
+      EXPECT_EQ(a.hotspots[h].exposure_name, b.hotspots[h].exposure_name);
+      EXPECT_EQ(a.hotspots[h].violation.value_nm,
+                b.hotspots[h].violation.value_nm);
+    }
   }
-}
-
-TEST(DeterminismBatch, AbbeReferencePathIgnoresBatchKnob) {
-  // The Abbe reference engine never batches: any batch_windows value must
-  // leave its results untouched (the flow's batching gate is SOCS-only).
-  PlacedDesign design = place_and_route(make_c17(), lib());
-  const auto extract_with_batch = [&](std::size_t batch) {
-    FlowOptions opts = options_with_threads(4);
-    opts.imaging.batch_windows = batch;  // mode stays kAbbe
-    PostOpcFlow flow(design, lib(), LithoSimulator{}, opts);
-    flow.run_opc(OpcMode::kRuleBased);
-    return flow.extract({}, std::vector<GateIdx>{0, 1, 2});
-  };
-  expect_same_extraction(extract_with_batch(0),
-                         extract_with_batch(kBatchWindowsAuto));
 }
 
 TEST(DeterminismAdder4, SelectiveFlowBitIdentical) {

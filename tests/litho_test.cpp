@@ -20,6 +20,7 @@
 #include "src/litho/pupil_cache.h"
 #include "src/litho/resist.h"
 #include "src/litho/simulator.h"
+#include "src/litho/tcc.h"
 
 namespace poc {
 namespace {
@@ -282,6 +283,49 @@ TEST(Imaging, BlurredVariantMatchesSeparateBlur) {
   EXPECT_LT(worst, 1e-6);
 }
 
+/// Spectral layout both frozen engines below derive from the mask grid:
+/// the coherent band |kx| <= kx_max, |ky| <= ky_max and the coarse grid it
+/// is synthesized on.
+struct FrozenLayout {
+  std::size_t nx = 0, ny = 0, ncx = 0, ncy = 0;
+  SpectralGrid grid;
+  double crop_scale = 0.0;
+  double up_scale = 0.0;
+};
+
+FrozenLayout frozen_layout(const Image2D& mask, const OpticalSettings& opt) {
+  FrozenLayout f;
+  f.nx = mask.nx();
+  f.ny = mask.ny();
+  const double dfx = 1.0 / (static_cast<double>(f.nx) * mask.pixel());
+  const double dfy = 1.0 / (static_cast<double>(f.ny) * mask.pixel());
+  const double reach = opt.cutoff_freq() * (1.0 + opt.sigma_outer) * 1.001;
+  const long long kx_max = std::min<long long>(
+      static_cast<long long>(f.nx) / 2 - 1,
+      static_cast<long long>(reach / dfx) + 1);
+  const long long ky_max = std::min<long long>(
+      static_cast<long long>(f.ny) / 2 - 1,
+      static_cast<long long>(reach / dfy) + 1);
+  f.ncx = std::min(f.nx, next_pow2(static_cast<std::size_t>(4 * kx_max + 2)));
+  f.ncy = std::min(f.ny, next_pow2(static_cast<std::size_t>(4 * ky_max + 2)));
+  f.grid = SpectralGrid{dfx, dfy, kx_max, ky_max};
+  f.crop_scale = static_cast<double>(f.ncx) * static_cast<double>(f.ncy) /
+                 (static_cast<double>(f.nx) * static_cast<double>(f.ny));
+  f.up_scale = static_cast<double>(f.nx) * static_cast<double>(f.ny) /
+               (static_cast<double>(f.ncx) * static_cast<double>(f.ncy));
+  return f;
+}
+
+/// Row-major storage index of signed frequency (kx, ky) on a w x h grid.
+std::size_t frozen_at(long long kx, long long ky, std::size_t w,
+                      std::size_t h) {
+  const std::size_t ix = kx >= 0 ? static_cast<std::size_t>(kx)
+                                 : w - static_cast<std::size_t>(-kx);
+  const std::size_t iy = ky >= 0 ? static_cast<std::size_t>(ky)
+                                 : h - static_cast<std::size_t>(-ky);
+  return iy * w + ix;
+}
+
 /// Frozen copy of the scalar Abbe engine the lane-parallel one replaced,
 /// built only from public fft_2d and pupil_tables: full-grid forward
 /// transform, per source point a zero-filled coarse field + full inverse +
@@ -290,30 +334,10 @@ TEST(Imaging, BlurredVariantMatchesSeparateBlur) {
 Image2D frozen_scalar_abbe(const Image2D& mask, const OpticalSettings& opt,
                            double defocus_nm, double blur_sigma_nm,
                            const std::vector<SourcePoint>& source) {
-  const std::size_t nx = mask.nx();
-  const std::size_t ny = mask.ny();
-  const double dfx = 1.0 / (static_cast<double>(nx) * mask.pixel());
-  const double dfy = 1.0 / (static_cast<double>(ny) * mask.pixel());
-  const double reach = opt.cutoff_freq() * (1.0 + opt.sigma_outer) * 1.001;
-  const long long kx_max = std::min<long long>(
-      static_cast<long long>(nx) / 2 - 1,
-      static_cast<long long>(reach / dfx) + 1);
-  const long long ky_max = std::min<long long>(
-      static_cast<long long>(ny) / 2 - 1,
-      static_cast<long long>(reach / dfy) + 1);
-  const std::size_t ncx = std::min(
-      nx, next_pow2(static_cast<std::size_t>(4 * kx_max + 2)));
-  const std::size_t ncy = std::min(
-      ny, next_pow2(static_cast<std::size_t>(4 * ky_max + 2)));
-  const SpectralGrid grid{dfx, dfy, kx_max, ky_max};
-  const auto at = [](long long kx, long long ky, std::size_t w,
-                     std::size_t h) {
-    const std::size_t ix = kx >= 0 ? static_cast<std::size_t>(kx)
-                                   : w - static_cast<std::size_t>(-kx);
-    const std::size_t iy = ky >= 0 ? static_cast<std::size_t>(ky)
-                                   : h - static_cast<std::size_t>(-ky);
-    return iy * w + ix;
-  };
+  const FrozenLayout f = frozen_layout(mask, opt);
+  const std::size_t nx = f.nx, ny = f.ny, ncx = f.ncx, ncy = f.ncy;
+  const long long kx_max = f.grid.kx_max;
+  const long long ky_max = f.grid.ky_max;
 
   std::vector<Cplx> spectrum(nx * ny);
   for (std::size_t i = 0; i < nx * ny; ++i) spectrum[i] = mask.data()[i];
@@ -321,10 +345,7 @@ Image2D frozen_scalar_abbe(const Image2D& mask, const OpticalSettings& opt,
 
   std::vector<double> intensity(ncx * ncy, 0.0);
   std::vector<Cplx> field(ncx * ncy);
-  const double crop_scale = static_cast<double>(ncx) *
-                            static_cast<double>(ncy) /
-                            (static_cast<double>(nx) * static_cast<double>(ny));
-  const auto pupils = pupil_tables(opt, source, defocus_nm, grid);
+  const auto pupils = pupil_tables(opt, source, defocus_nm, f.grid);
   for (std::size_t s = 0; s < source.size(); ++s) {
     std::fill(field.begin(), field.end(), Cplx(0.0, 0.0));
     std::size_t idx = 0;
@@ -332,8 +353,8 @@ Image2D frozen_scalar_abbe(const Image2D& mask, const OpticalSettings& opt,
       for (long long kx = -kx_max; kx <= kx_max; ++kx) {
         const Cplx p = pupils->tables[s][idx++];
         if (p == Cplx(0.0, 0.0)) continue;
-        field[at(kx, ky, ncx, ncy)] =
-            spectrum[at(kx, ky, nx, ny)] * p * crop_scale;
+        field[frozen_at(kx, ky, ncx, ncy)] =
+            spectrum[frozen_at(kx, ky, nx, ny)] * p * f.crop_scale;
       }
     }
     fft_2d(field, ncx, ncy, /*inverse=*/true);
@@ -345,27 +366,141 @@ Image2D frozen_scalar_abbe(const Image2D& mask, const OpticalSettings& opt,
   std::vector<Cplx> coarse(ncx * ncy);
   for (std::size_t i = 0; i < ncx * ncy; ++i) coarse[i] = intensity[i];
   fft_2d(coarse, ncx, ncy, /*inverse=*/false);
-  const double up_scale = static_cast<double>(nx) * static_cast<double>(ny) /
-                          (static_cast<double>(ncx) * static_cast<double>(ncy));
   const double two_pi2_s2 = 2.0 * std::numbers::pi * std::numbers::pi *
                             blur_sigma_nm * blur_sigma_nm;
   const long long cx = static_cast<long long>(ncx) / 2 - 1;
   const long long cy = static_cast<long long>(ncy) / 2 - 1;
   std::vector<Cplx> full(nx * ny, Cplx(0.0, 0.0));
   for (long long ky = -cy; ky <= cy; ++ky) {
-    const double fy = static_cast<double>(ky) * dfy;
+    const double fy = static_cast<double>(ky) * f.grid.dfy;
     for (long long kx = -cx; kx <= cx; ++kx) {
-      const double fx = static_cast<double>(kx) * dfx;
+      const double fx = static_cast<double>(kx) * f.grid.dfx;
       const double blur =
           blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * (fx * fx + fy * fy))
                               : 1.0;
-      full[at(kx, ky, nx, ny)] =
-          coarse[at(kx, ky, ncx, ncy)] * (up_scale * blur);
+      full[frozen_at(kx, ky, nx, ny)] =
+          coarse[frozen_at(kx, ky, ncx, ncy)] * (f.up_scale * blur);
     }
   }
   fft_2d(full, nx, ny, /*inverse=*/true);
   Image2D out(nx, ny, mask.pixel(), mask.origin_x(), mask.origin_y());
   for (std::size_t i = 0; i < nx * ny; ++i) out.data()[i] = full[i].real();
+  return out;
+}
+
+/// Frozen copy of the scalar SOCS engine the lane-parallel one replaced,
+/// built only from the public scalar band transforms and socs_kernels:
+/// packed real-input band transform of the mask, one band-column-first
+/// inverse per coherent system (two parity-packed kernels per transform at
+/// nominal, else one generic kernel with a zero-skipping scatter), a full
+/// forward transform of the coarse intensity, and a packed real-output band
+/// inverse with separable blur factors.  aerial_image_blurred (kSocs) must
+/// match it bit for bit.
+Image2D frozen_scalar_socs(const Image2D& mask, const OpticalSettings& opt,
+                           double defocus_nm, double blur_sigma_nm,
+                           const std::vector<SourcePoint>& source,
+                           const SocsOptions& socs) {
+  const FrozenLayout f = frozen_layout(mask, opt);
+  const std::size_t nx = f.nx, ny = f.ny, ncx = f.ncx, ncy = f.ncy;
+  const SpectralGrid& grid = f.grid;
+  const std::size_t kx_max = static_cast<std::size_t>(grid.kx_max);
+
+  const std::vector<Cplx> spectrum =
+      rfft_2d_band(mask.data(), nx, ny, kx_max);
+  std::vector<double> intensity(ncx * ncy, 0.0);
+  std::vector<Cplx> field(ncx * ncy);
+  const auto kernels = socs_kernels(opt, source, defocus_nm, grid, socs);
+  const std::size_t nk = kernels->kernels.size();
+  if (kernels->parity_packable()) {
+    for (std::size_t k = 0; k < nk; k += 2) {
+      const bool pair = k + 1 < nk;
+      std::fill(field.begin(), field.end(), Cplx(0.0, 0.0));
+      const std::vector<Cplx>& phi1 = kernels->kernels[k];
+      const std::vector<Cplx>* phi2 = pair ? &kernels->kernels[k + 1] : nullptr;
+      const bool odd1 = kernels->parity[k] == 2;
+      const bool odd2 = pair && kernels->parity[k + 1] == 2;
+      std::size_t idx = 0;
+      for (long long ky = -grid.ky_max; ky <= grid.ky_max; ++ky) {
+        for (long long kx = -grid.kx_max; kx <= grid.kx_max; ++kx, ++idx) {
+          const Cplx m = spectrum[frozen_at(kx, ky, nx, ny)] * f.crop_scale;
+          Cplx h1 = m * phi1[idx].real();
+          if (odd1) h1 = Cplx(h1.imag(), -h1.real());
+          Cplx h2(0.0, 0.0);
+          if (pair) {
+            h2 = m * (*phi2)[idx].real();
+            if (odd2) h2 = Cplx(h2.imag(), -h2.real());
+          }
+          field[frozen_at(kx, ky, ncx, ncy)] =
+              Cplx(h1.real() - h2.imag(), h1.imag() + h2.real());
+        }
+      }
+      fft_2d_band_inverse(field, ncx, ncy, kx_max);
+      const double w1 = kernels->weights[k];
+      if (pair) {
+        const double w2 = kernels->weights[k + 1];
+        for (std::size_t i = 0; i < ncx * ncy; ++i) {
+          const double re = field[i].real();
+          const double im = field[i].imag();
+          intensity[i] += w1 * re * re + w2 * im * im;
+        }
+      } else {
+        for (std::size_t i = 0; i < ncx * ncy; ++i) {
+          const double re = field[i].real();
+          intensity[i] += w1 * re * re;
+        }
+      }
+    }
+  } else {
+    for (std::size_t k = 0; k < nk; ++k) {
+      std::fill(field.begin(), field.end(), Cplx(0.0, 0.0));
+      std::size_t idx = 0;
+      for (long long ky = -grid.ky_max; ky <= grid.ky_max; ++ky) {
+        for (long long kx = -grid.kx_max; kx <= grid.kx_max; ++kx) {
+          const Cplx p = kernels->kernels[k][idx++];
+          if (p == Cplx(0.0, 0.0)) continue;
+          field[frozen_at(kx, ky, ncx, ncy)] =
+              spectrum[frozen_at(kx, ky, nx, ny)] * p * f.crop_scale;
+        }
+      }
+      fft_2d_band_inverse(field, ncx, ncy, kx_max);
+      for (std::size_t i = 0; i < ncx * ncy; ++i) {
+        intensity[i] += kernels->weights[k] * std::norm(field[i]);
+      }
+    }
+  }
+
+  std::vector<Cplx> coarse(ncx * ncy);
+  for (std::size_t i = 0; i < ncx * ncy; ++i) coarse[i] = intensity[i];
+  fft_2d(coarse, ncx, ncy, /*inverse=*/false);
+  const double two_pi2_s2 = 2.0 * std::numbers::pi * std::numbers::pi *
+                            blur_sigma_nm * blur_sigma_nm;
+  const long long cx = static_cast<long long>(ncx) / 2 - 1;
+  const long long cy = static_cast<long long>(ncy) / 2 - 1;
+  std::vector<double> bx(static_cast<std::size_t>(2 * cx + 1));
+  std::vector<double> by(static_cast<std::size_t>(2 * cy + 1));
+  for (long long kx = -cx; kx <= cx; ++kx) {
+    const double fx = static_cast<double>(kx) * grid.dfx;
+    bx[static_cast<std::size_t>(kx + cx)] =
+        blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * fx * fx) : 1.0;
+  }
+  for (long long ky = -cy; ky <= cy; ++ky) {
+    const double fy = static_cast<double>(ky) * grid.dfy;
+    by[static_cast<std::size_t>(ky + cy)] =
+        blur_sigma_nm > 0.0 ? std::exp(-two_pi2_s2 * fy * fy) : 1.0;
+  }
+  std::vector<Cplx> full(nx * ny, Cplx(0.0, 0.0));
+  for (long long ky = -cy; ky <= cy; ++ky) {
+    const double wy = f.up_scale * by[static_cast<std::size_t>(ky + cy)];
+    for (long long kx = -cx; kx <= cx; ++kx) {
+      full[frozen_at(kx, ky, nx, ny)] =
+          coarse[frozen_at(kx, ky, ncx, ncy)] *
+          (wy * bx[static_cast<std::size_t>(kx + cx)]);
+    }
+  }
+  const std::vector<double> real_img =
+      irfft_2d_band(full, nx, ny, static_cast<std::size_t>(cx));
+  Image2D out(nx, ny, mask.pixel(), mask.origin_x(), mask.origin_y());
+  out.data() = real_img;
   return out;
 }
 
@@ -423,6 +558,68 @@ TEST(Imaging, AbbeMatchesFrozenScalarEngineBitForBit) {
                 << sh.nx << "x" << sh.ny << " sources=" << source.size()
                 << " aberrated=" << aberrated << " defocus=" << defocus
                 << " blur=" << blur;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Imaging, SocsMatchesFrozenScalarEngineBitForBit) {
+  struct Shape {
+    std::size_t nx, ny;
+    double pixel;
+  };
+  // nx > ny, nx < ny, a 20 nm grid whose coarse grid is the whole grid
+  // (ncx == nx), and 16 x 4 grids with fewer than four row pairs: at 20 nm
+  // the band holds only ky = 0 (the image is constant along y), at 40 nm it
+  // reaches |ky| = 1.
+  const Shape shapes[] = {{128, 64, 8.0},
+                          {64, 128, 8.0},
+                          {32, 32, 20.0},
+                          {16, 4, 20.0},
+                          {16, 4, 40.0}};
+  // 6 (draft), 16 (standard) and 36 (fine) source points.
+  struct Src {
+    std::size_t rings, spokes;
+  };
+  const Src sources[] = {{1, 6}, {2, 8}, {3, 12}};
+  // Nominal optics take the parity-packed branch; defocus and aberrations
+  // the generic one.
+  enum class Optics { kNominal, kDefocus, kAberrated };
+  SocsOptions five;
+  five.max_kernels = 5;  // an odd budget leaves the last kernel unpaired
+  const SocsOptions budgets[] = {SocsOptions{}, five};
+  std::uint64_t seed = 100;
+  for (const Shape& sh : shapes) {
+    const Image2D mask = random_mask(sh.nx, sh.ny, sh.pixel, seed++);
+    for (const Src& src : sources) {
+      for (const Optics optics :
+           {Optics::kNominal, Optics::kDefocus, Optics::kAberrated}) {
+        OpticalSettings opt;
+        opt.source_rings = src.rings;
+        opt.source_spokes = src.spokes;
+        if (optics == Optics::kAberrated) {
+          opt.z9_spherical_waves = 0.04;
+          opt.z7_coma_x_waves = 0.03;
+        }
+        const double defocus = optics == Optics::kDefocus ? 120.0 : 0.0;
+        const std::vector<SourcePoint> source = sample_source(opt);
+        for (const SocsOptions& socs : budgets) {
+          const ImagingOptions imaging{ImagingMode::kSocs, socs};
+          for (const double blur : {0.0, 25.0}) {
+            const Image2D want =
+                frozen_scalar_socs(mask, opt, defocus, blur, source, socs);
+            const Image2D got = aerial_image_blurred(mask, opt, defocus, blur,
+                                                     source, imaging);
+            ASSERT_EQ(got.nx(), want.nx());
+            ASSERT_EQ(got.ny(), want.ny());
+            EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                  want.data().size() * sizeof(double)),
+                      0)
+                << sh.nx << "x" << sh.ny << " sources=" << source.size()
+                << " optics=" << static_cast<int>(optics)
+                << " max_kernels=" << socs.max_kernels << " blur=" << blur;
           }
         }
       }

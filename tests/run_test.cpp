@@ -515,32 +515,6 @@ TEST(FlowResume, PartialRunResumesBitIdenticalAtAnyThreadCount) {
   }
 }
 
-TEST(FlowResume, BatchWidthIsExcludedFromJournalFingerprints) {
-  // ImagingOptions::batch_windows is a pure performance knob, deliberately
-  // absent from hash_imaging: a run journaled under one batch width must
-  // replay — not recompute, not reject the journal — under any other,
-  // because the batched engine is bit-identical to the scalar loop.
-  TempDir dir("poc_run_resume_batch");
-  {
-    FlowOptions opts = journaled_options(2, dir.path);
-    opts.imaging.mode = ImagingMode::kSocs;
-    opts.imaging.batch_windows = kBatchWindowsAuto;
-    PostOpcFlow flow(design(), lib(), LithoSimulator{}, opts);
-    flow.run_opc(OpcMode::kModelBased);
-    flow.extract({});
-  }
-  FlowOptions opts = journaled_options(1, dir.path);
-  opts.imaging.mode = ImagingMode::kSocs;
-  opts.imaging.batch_windows = 0;  // scalar loop
-  PostOpcFlow flow(design(), lib(), LithoSimulator{}, opts);
-  flow.run_opc(OpcMode::kModelBased);
-  flow.extract({});
-  const RunJournal::Stats s = flow.journal_stats();
-  EXPECT_EQ(s.rejected_records, 0u);
-  EXPECT_GT(s.replayed_hits, 0u)
-      << "a batched-run journal must replay under the scalar loop";
-}
-
 TEST(FlowResume, CancelledRunIsResumable) {
   TempDir dir("poc_run_resume_cancel");
   CancelToken token;
