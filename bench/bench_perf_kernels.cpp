@@ -1,16 +1,19 @@
 // Google-benchmark micro-benchmarks for the compute kernels that dominate
-// the flow's runtime: 2-D FFT, mask rasterization, aerial-image formation,
-// one model-based OPC window, per-gate CD extraction, and a full-design STA
-// pass.  These quantify the scalability claims in DESIGN.md (selective
-// extraction exists because litho windows are ~1e6 x an STA pass).
+// the flow's runtime: 2-D FFT, the four-lane FFT, mask rasterization,
+// aerial-image formation, one model-based OPC window, per-gate CD
+// extraction, and a full-design STA pass.  These quantify the scalability
+// claims in DESIGN.md (selective extraction exists because litho windows
+// are ~1e6 x an STA pass).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/cdx/cd_extract.h"
 #include "src/common/fft.h"
+#include "src/common/rng.h"
 #include "src/geom/polygon_ops.h"
 #include "src/litho/imaging.h"
 #include "src/litho/mask.h"
@@ -31,6 +34,45 @@ void BM_Fft2D(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft2D)->Arg(128)->Arg(256)->Arg(512);
+
+/// fft_soa on kFftLanes spans of n elements at the given element stride,
+/// alternating forward and inverse so values stay bounded.  The rate
+/// counter counts the conventional 5 n log2 n FLOPs per span per transform.
+void run_fft_soa(benchmark::State& state, std::size_t n, std::size_t stride) {
+  const std::size_t size = (n - 1) * stride + kFftLanes;
+  std::vector<double> re(size), im(size);
+  Rng rng(1);
+  for (std::size_t i = 0; i < size; ++i) {
+    re[i] = rng.uniform(-1, 1);
+    im[i] = rng.uniform(-1, 1);
+  }
+  bool inverse = false;
+  for (auto _ : state) {
+    fft_soa(re.data(), im.data(), n, inverse, stride);
+    inverse = !inverse;
+    benchmark::DoNotOptimize(re.data());
+    benchmark::DoNotOptimize(im.data());
+    benchmark::ClobberMemory();
+  }
+  const double flops = static_cast<double>(kFftLanes) * 5.0 *
+                       static_cast<double>(n) *
+                       std::log2(static_cast<double>(n));
+  state.counters["FLOPS"] =
+      benchmark::Counter(flops, benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_FftSoa(benchmark::State& state) {
+  // The imaging engines' transform: four spans in packed lanes.
+  run_fft_soa(state, static_cast<std::size_t>(state.range(0)), kFftLanes);
+}
+BENCHMARK(BM_FftSoa)->RangeMultiplier(2)->Range(32, 1024);
+
+void BM_FftSoaStrided(benchmark::State& state) {
+  // The Abbe coarse field rows: lanes 59 band rows apart.
+  run_fft_soa(state, static_cast<std::size_t>(state.range(0)),
+              59 * kFftLanes);
+}
+BENCHMARK(BM_FftSoaStrided)->Arg(128);
 
 void BM_RasterizeMask(benchmark::State& state) {
   std::vector<Rect> lines;

@@ -63,15 +63,22 @@ std::vector<double> irfft_2d_band(const std::vector<Cplx>& spec,
 
 // --- Lane-parallel structure-of-arrays transforms -------------------------
 //
-// The imaging engines (src/litho/imaging.cpp) advance four independent
+// The imaging engines (src/litho/imaging.cpp) advance kFftLanes independent
 // same-size spans of one window in lockstep.  Data lives in split
 // real/imaginary double planes, lane-innermost: element e of lane w sits at
-// re[e * stride + w], with `stride` >= lanes so elements never overlap.
-// Each lane executes exactly the scalar fft_1d operation sequence — the
-// same butterflies against the same shared twiddle tables, in the same
-// order — so lane w's values are bit-identical to transforming span w
-// alone.  Lanes only widen each scalar operation; they never reorder or
-// fuse floating-point work.
+// re[e * stride + w], with `stride` >= kFftLanes so elements never overlap.
+//
+// The kernel is radix-2^2: each pass over the data runs two radix-2 stages
+// (lengths len and 2*len) on the four elements a, a+len/2, a+len and
+// a+3*len/2 they couple, and a plain radix-2 pass finishes an odd stage
+// count.  An element's four lanes are one 4-wide vector value.  Each lane
+// still executes exactly the scalar fft_1d operation sequence: the same
+// bit-reversal swaps, and every butterfly u +/- x*w computed as
+// (xr*wr - xi*wi, xr*wi + xi*wr), the std::complex product, against the
+// same shared twiddle tables.  Regrouping stages only reorders butterflies
+// that share no operand, so lane w's values are bit-identical to
+// transforming span w alone.  Lanes never fuse or reassociate
+// floating-point work.
 
 #if defined(__GNUC__) || defined(__clang__)
 #define POC_RESTRICT __restrict__
@@ -79,10 +86,13 @@ std::vector<double> irfft_2d_band(const std::vector<Cplx>& spec,
 #define POC_RESTRICT
 #endif
 
-/// In-place lane-parallel radix-2 FFT over n elements x `lanes` lanes.
+/// Spans per fft_soa call: one AVX2 vector of doubles.
+inline constexpr std::size_t kFftLanes = 4;
+
+/// In-place lane-parallel radix-2 FFT over n elements x kFftLanes lanes.
 /// Element e of lane w at re[e * stride + w] / im[e * stride + w].
 void fft_soa(double* re, double* im, std::size_t n, bool inverse,
-             std::size_t lanes, std::size_t stride);
+             std::size_t stride);
 
 /// Storage column index (in [0, nx)) of compact band column c, following
 /// the fixed for_band_columns order: c = 0..kx_max covers kx = 0..kx_max,

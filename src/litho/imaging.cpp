@@ -77,7 +77,7 @@ double blur_exponent_scale(double blur_sigma_nm) {
 // column c at [((c / kLanes) * len + e) * kLanes + c % kLanes], so each
 // tile's column pass works on contiguous memory.
 
-constexpr std::size_t kLanes = 4;
+constexpr std::size_t kLanes = kFftLanes;
 
 std::size_t lane_tiles(std::size_t n) { return (n + kLanes - 1) / kLanes; }
 
@@ -96,7 +96,7 @@ void rows_to_column_tiles(double* row_re, double* row_im, std::size_t n,
                           bool inverse, std::size_t nw, std::size_t ncols,
                           ColOf col_of, std::size_t len, std::size_t r0,
                           double* tile_re, double* tile_im) {
-  fft_soa(row_re, row_im, n, inverse, kLanes, kLanes);
+  fft_soa(row_re, row_im, n, inverse, kLanes);
   for (std::size_t c = 0; c < lane_tiles(ncols) * kLanes; ++c) {
     const std::size_t at = tile_offset(c, r0, len);
     double* POC_RESTRICT dr = tile_re + at;
@@ -187,7 +187,7 @@ void abbe_aerial_image(const Image2D& mask, const OpticalSettings& opt,
   }
   for (std::size_t t = 0; t < lane_tiles(nb); ++t) {
     fft_soa(spec_re + t * ny * kLanes, spec_im + t * ny * kLanes, ny,
-            /*inverse=*/false, kLanes, kLanes);
+            /*inverse=*/false, kLanes);
   }
 
   // Coherent systems on the coarse grid, kLanes source points per tile.
@@ -228,13 +228,13 @@ void abbe_aerial_image(const Image2D& mask, const OpticalSettings& opt,
     }
     for (std::size_t r = 0; r < nr; ++r) {
       fft_soa(field_re + r * kLanes, field_im + r * kLanes, ncx,
-              /*inverse=*/true, kLanes, nr * kLanes);
+              /*inverse=*/true, nr * kLanes);
     }
     for (std::size_t x = 0; x < ncx; ++x) {
       expand_band_column(field_re + x * nr * kLanes,
                          field_im + x * nr * kLanes,
                          static_cast<std::size_t>(ky_max), ncy, col_re, col_im);
-      fft_soa(col_re, col_im, ncy, /*inverse=*/true, kLanes, kLanes);
+      fft_soa(col_re, col_im, ncy, /*inverse=*/true, kLanes);
       double* acc = intensity + x * ncy;
       for (std::size_t y = 0; y < ncy; ++y) {
         double a = acc[y];
@@ -268,7 +268,7 @@ void abbe_aerial_image(const Image2D& mask, const OpticalSettings& opt,
   }
   for (std::size_t t = 0; t < lane_tiles(ncx); ++t) {
     fft_soa(coarse_re + t * ncy * kLanes, coarse_im + t * ncy * kLanes, ncy,
-            /*inverse=*/false, kLanes, kLanes);
+            /*inverse=*/false, kLanes);
   }
 
   // ... then the inverse over the nru nonzero spectrum rows (blur factor
@@ -307,7 +307,7 @@ void abbe_aerial_image(const Image2D& mask, const OpticalSettings& opt,
   for (std::size_t t = 0; t < lane_tiles(nx); ++t) {
     expand_band_column(up_re + t * nru * kLanes, up_im + t * nru * kLanes,
                        static_cast<std::size_t>(l.cy), ny, col_re, col_im);
-    fft_soa(col_re, col_im, ny, /*inverse=*/true, kLanes, kLanes);
+    fft_soa(col_re, col_im, ny, /*inverse=*/true, kLanes);
     const std::size_t x0 = t * kLanes;
     const std::size_t nw = std::min(kLanes, nx - x0);
     for (std::size_t y = 0; y < ny; ++y) {
@@ -382,7 +382,7 @@ void socs_aerial_image(const Image2D& mask, const OpticalSettings& opt,
         row_im[x * kLanes + w] = w < nw ? m[(y + 1) * nx + x] : 0.0;
       }
     }
-    fft_soa(row_re, row_im, nx, /*inverse=*/false, kLanes, kLanes);
+    fft_soa(row_re, row_im, nx, /*inverse=*/false, kLanes);
     for (std::size_t c = 0; c < lane_tiles(nb) * kLanes; ++c) {
       double* dr = spec_re + tile_offset(c, 2 * p0, ny);
       double* di = spec_im + tile_offset(c, 2 * p0, ny);
@@ -413,7 +413,7 @@ void socs_aerial_image(const Image2D& mask, const OpticalSettings& opt,
   }
   for (std::size_t t = 0; t < lane_tiles(nb); ++t) {
     fft_soa(spec_re + t * ny * kLanes, spec_im + t * ny * kLanes, ny,
-            /*inverse=*/false, kLanes, kLanes);
+            /*inverse=*/false, kLanes);
   }
 
   // Coherent systems: each fills the band columns of its filtered spectrum
@@ -451,7 +451,7 @@ void socs_aerial_image(const Image2D& mask, const OpticalSettings& opt,
                    fi[at + w]);
         }
       }
-      fft_soa(fr, fi, ncy, /*inverse=*/true, kLanes, kLanes);
+      fft_soa(fr, fi, ncy, /*inverse=*/true, kLanes);
     }
     for (std::size_t r0 = 0; r0 < ncy; r0 += kLanes) {
       const std::size_t nw = std::min(kLanes, ncy - r0);
@@ -465,7 +465,7 @@ void socs_aerial_image(const Image2D& mask, const OpticalSettings& opt,
           row_im[x * kLanes + w] = field_im[at + w * kLanes];
         }
       }
-      fft_soa(row_re, row_im, ncx, /*inverse=*/true, kLanes, kLanes);
+      fft_soa(row_re, row_im, ncx, /*inverse=*/true, kLanes);
       fold(intensity + r0 * ncx, row_re, row_im);
     }
   };
@@ -575,7 +575,7 @@ void socs_aerial_image(const Image2D& mask, const OpticalSettings& opt,
   }
   for (std::size_t t = 0; t < lane_tiles(nbu); ++t) {
     fft_soa(coarse_re + t * ncy * kLanes, coarse_im + t * ncy * kLanes, ncy,
-            /*inverse=*/false, kLanes, kLanes);
+            /*inverse=*/false, kLanes);
   }
 
   // ... then scale each kept entry by up_scale and the separable blur
@@ -621,7 +621,7 @@ void socs_aerial_image(const Image2D& mask, const OpticalSettings& opt,
         di[w] = ci[w] * s;
       }
     }
-    fft_soa(ur, ui, ny, /*inverse=*/true, kLanes, kLanes);
+    fft_soa(ur, ui, ny, /*inverse=*/true, kLanes);
   }
   double* out = result.data().data();
   for (std::size_t p0 = 0; p0 < pairs; p0 += kLanes) {
@@ -641,7 +641,7 @@ void socs_aerial_image(const Image2D& mask, const OpticalSettings& opt,
         row_im[x * kLanes + w] = w0i[0] + (0.0 * w1i + 1.0 * w1r);
       }
     }
-    fft_soa(row_re, row_im, nx, /*inverse=*/true, kLanes, kLanes);
+    fft_soa(row_re, row_im, nx, /*inverse=*/true, kLanes);
     for (std::size_t w = 0; w < nw; ++w) {
       double* y0 = out + 2 * (p0 + w) * nx;
       double* y1 = y0 + nx;

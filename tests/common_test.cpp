@@ -1,7 +1,13 @@
 // Unit tests for src/common: FFT, statistics, linear algebra, tables,
 // RNG determinism and the contract-check macros.
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstring>
+#include <limits>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +190,139 @@ TEST(Fft, PackedRealInverseMatchesComplexTransform) {
   for (std::size_t i = 0; i < nx * ny; ++i) {
     EXPECT_NEAR(packed[i], full[i].real(), 1e-11);
     EXPECT_NEAR(full[i].imag(), 0.0, 1e-11);
+  }
+}
+
+/// A value for the lane oracle: mostly ordinary magnitudes, mixed with
+/// signed zeros, subnormals and magnitudes near 1e+-300.  Even 1024 terms
+/// near 1e300 sum far below the overflow threshold, so every lane stays
+/// finite.
+double hostile_value(Rng& rng) {
+  const double sign = rng.chance(0.5) ? -1.0 : 1.0;
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+      return sign * 0.0;
+    case 1:
+      return sign * std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(rng.uniform_int(1, 1 << 20));
+    case 2:
+      return sign * 1e300 * rng.uniform(0.5, 1.0);
+    case 3:
+      return sign * 1e-300 * rng.uniform(0.5, 1.0);
+    default:
+      return rng.uniform(-1.0, 1.0);
+  }
+}
+
+TEST(Fft, SoaLanesMatchScalarBitForBit) {
+  // Each fft_soa lane against fft_1d of that span alone, byte for byte
+  // (signed zeros included): odd and even stage counts, both directions,
+  // and the strides the imaging engines use (packed lanes; gaps between
+  // elements; the Abbe field rows, 59 band rows apart).  The doubles
+  // between one element's lanes and the next element's must come back
+  // untouched, and each buffer ends at the last lane so a read past it
+  // lands in the sanitizer's red zone.
+  constexpr int kTrials = 40;
+  constexpr double kGap = 12345.678;
+  Rng rng(23);
+  std::size_t spans = 0, differing = 0, gaps_written = 0;
+  std::string first;
+  for (std::size_t n = 1; n <= 1024; n *= 2) {
+    for (const bool inverse : {false, true}) {
+      for (const std::size_t stride :
+           {kFftLanes, 3 * kFftLanes, 59 * kFftLanes}) {
+        for (int trial = 0; trial < kTrials; ++trial) {
+          const std::size_t size = (n - 1) * stride + kFftLanes;
+          std::vector<double> re(size, kGap), im(size, kGap);
+          std::vector<std::vector<Cplx>> ref(kFftLanes,
+                                             std::vector<Cplx>(n));
+          for (std::size_t e = 0; e < n; ++e) {
+            for (std::size_t w = 0; w < kFftLanes; ++w) {
+              re[e * stride + w] = hostile_value(rng);
+              im[e * stride + w] = hostile_value(rng);
+              ref[w][e] = {re[e * stride + w], im[e * stride + w]};
+            }
+          }
+          fft_soa(re.data(), im.data(), n, inverse, stride);
+          for (std::size_t w = 0; w < kFftLanes; ++w) {
+            fft_1d(ref[w], inverse);
+            std::vector<Cplx> lane(n);
+            for (std::size_t e = 0; e < n; ++e) {
+              lane[e] = {re[e * stride + w], im[e * stride + w]};
+            }
+            ++spans;
+            if (std::memcmp(lane.data(), ref[w].data(),
+                            n * sizeof(Cplx)) != 0 &&
+                differing++ == 0) {
+              first = "n=" + std::to_string(n) +
+                      (inverse ? " inverse" : " forward") +
+                      " stride=" + std::to_string(stride) +
+                      " trial=" + std::to_string(trial) +
+                      " lane=" + std::to_string(w);
+            }
+          }
+          for (std::size_t i = 0; i < size; ++i) {
+            if (i % stride >= kFftLanes && (re[i] != kGap || im[i] != kGap)) {
+              ++gaps_written;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(spans, 11u * 2 * 3 * kTrials * kFftLanes);
+  EXPECT_EQ(differing, 0u) << "of " << spans << " lane spans; first: "
+                           << first;
+  EXPECT_EQ(gaps_written, 0u);
+}
+
+TEST(Fft, MatchesNaiveDftOracle) {
+  // fft_1d against the O(n^2) DFT summed in long double from directly
+  // evaluated twiddles, an oracle that shares no code with the FFT.  Bound
+  // per output element: c * eps * log2(n) * ||x||_2 forward, 1/n of that
+  // inverse (for power-of-two n the 1/n scale is exact).  The FFT's twiddle
+  // tables come from a repeated-multiplication recurrence whose error grows
+  // with the twiddle index, so the worst observed ratio climbs with n, to
+  // about 21 at n = 1024; c = 32 covers that.  A wrong twiddle, index or
+  // sign misses the bound by ten orders of magnitude.
+  constexpr long double kC = 32;
+  const long double eps = std::numeric_limits<double>::epsilon();
+  using CplxL = std::complex<long double>;
+  Rng rng(29);
+  for (std::size_t n = 1, log2n = 0; n <= 1024; n *= 2, ++log2n) {
+    std::vector<Cplx> x(n);
+    long double norm2 = 0;
+    for (auto& v : x) {
+      v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      norm2 += static_cast<long double>(std::norm(v));
+    }
+    std::vector<CplxL> twiddle(n);  // exp(-2 pi i m / n)
+    for (std::size_t m = 0; m < n; ++m) {
+      const long double angle = -2 * std::numbers::pi_v<long double> *
+                                static_cast<long double>(m) /
+                                static_cast<long double>(n);
+      twiddle[m] = {std::cos(angle), std::sin(angle)};
+    }
+    for (const bool inverse : {false, true}) {
+      std::vector<Cplx> y = x;
+      fft_1d(y, inverse);
+      long double worst = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        CplxL sum = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+          const CplxL w = twiddle[(j * k) % n];
+          sum += CplxL(x[j].real(), x[j].imag()) * (inverse ? std::conj(w) : w);
+        }
+        if (inverse) sum /= static_cast<long double>(n);
+        const CplxL got(y[k].real(), y[k].imag());
+        worst = std::max(worst, std::abs(got - sum));
+      }
+      const long double bound = kC * eps * static_cast<long double>(log2n) *
+                                std::sqrt(norm2) /
+                                (inverse ? static_cast<long double>(n) : 1);
+      EXPECT_LE(worst, bound) << "n=" << n
+                              << (inverse ? " inverse" : " forward");
+    }
   }
 }
 
