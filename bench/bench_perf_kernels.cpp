@@ -1,11 +1,13 @@
 // Google-benchmark micro-benchmarks for the compute kernels that dominate
 // the flow's runtime: 2-D FFT, the four-lane FFT, mask rasterization,
 // aerial-image formation, one model-based OPC window, per-gate CD
-// extraction, and a full-design STA pass.  These quantify the scalability
-// claims in DESIGN.md (selective extraction exists because litho windows
-// are ~1e6 x an STA pass).
+// extraction, a full-design STA pass, and the warm timing service's read
+// and what-if queries.  These quantify the scalability claims in DESIGN.md
+// (selective extraction exists because litho windows are ~1e6 x an STA
+// pass).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -303,6 +305,47 @@ void BM_StaFullDesign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StaFullDesign)->Unit(benchmark::kMillisecond);
+
+/// The rand200 flow the timing-service rows query.
+PostOpcFlow& service_flow() {
+  static PlacedDesign design = bench::make_design("rand200");
+  static PostOpcFlow flow = bench::make_flow(design);
+  return flow;
+}
+
+void BM_TimingServiceRead(benchmark::State& state) {
+  // One read of the interactive loop on a warm service: worst slack plus
+  // the ten worst paths.
+  TimingService service = service_flow().make_timing_service();
+  benchmark::DoNotOptimize(service.worst_slack());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.worst_slack());
+    benchmark::DoNotOptimize(service.paths(10));
+  }
+}
+BENCHMARK(BM_TimingServiceRead);
+
+void BM_TimingServiceWhatIf(benchmark::State& state) {
+  // An 8-gate what-if (apply, measure, revert) on the same warm service:
+  // the eight most critical gates, each 5 % slower.  One thread, so the
+  // row times the what-if's own work rather than the pool's wake-ups.
+  TimingService service = service_flow().make_timing_service();
+  service.graph().set_threads(1);
+  const std::vector<Ps> slack = service.graph().gate_slacks();
+  std::vector<GateIdx> order(slack.size());
+  for (GateIdx g = 0; g < order.size(); ++g) order[g] = g;
+  std::stable_sort(order.begin(), order.end(), [&](GateIdx a, GateIdx b) {
+    return slack[a] < slack[b];
+  });
+  std::vector<GateRetime> candidate;
+  for (std::size_t k = 0; k < 8 && k < order.size(); ++k) {
+    candidate.push_back({order[k], DelayAnnotation{1.05, 1.05, 1.0}});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.whatif(candidate));
+  }
+}
+BENCHMARK(BM_TimingServiceWhatIf);
 
 }  // namespace
 }  // namespace poc

@@ -48,13 +48,16 @@ cmake --build build-tsan -j "$JOBS" --target par_test fault_test run_test cache_
 # slot write contract while the asserts check bit-identity.
 ./build-tsan/tests/sta_incremental_test
 
-echo "== step 4/5: ASan build + memory tests (common_test, litho_test, fault_test, socs_test, cache_test, core_test, batch_test) =="
+echo "== step 4/5: ASan build + memory tests (common_test, litho_test, cdx_test, fault_test, socs_test, cache_test, core_test, batch_test) =="
 cmake -B build-asan -S . -DPOC_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$JOBS" --target common_test litho_test fault_test socs_test cache_test core_test batch_test
+cmake --build build-asan -j "$JOBS" --target common_test litho_test cdx_test fault_test socs_test cache_test core_test batch_test
 # Fft.SoaLanesMatchScalarBitForBit sizes each lane buffer to end at the last
 # lane, so a kernel load or store past it lands in the red zone.
 ./build-asan/tests/common_test
 ./build-asan/tests/litho_test
+# CD extraction reads cached latents in place through ImageView (a raw
+# pixel pointer); core_test drives it from the flow's window cache.
+./build-asan/tests/cdx_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/socs_test
 ./build-asan/tests/cache_test

@@ -41,7 +41,7 @@ double GateCdProfile::max_cd() const {
   return m;
 }
 
-GateCdProfile extract_gate_cd(const Image2D& latent, double threshold,
+GateCdProfile extract_gate_cd(const ImageView& latent, double threshold,
                               const Rect& gate_region, bool vertical_poly,
                               const CdExtractOptions& opts) {
   POC_EXPECTS(!gate_region.empty());
@@ -81,7 +81,7 @@ GateCdProfile extract_gate_cd(const Image2D& latent, double threshold,
   return profile;
 }
 
-std::optional<double> extract_wire_cd(const Image2D& latent, double threshold,
+std::optional<double> extract_wire_cd(const ImageView& latent, double threshold,
                                       const Rect& wire_segment,
                                       bool horizontal_cd,
                                       double reach_factor) {

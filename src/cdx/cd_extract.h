@@ -45,14 +45,14 @@ struct CdExtractOptions {
 /// layout coords, already inside the image).  `vertical_poly` true means the
 /// poly line runs vertically, so CD (channel length) is measured along x and
 /// the slice ladder steps along y.
-GateCdProfile extract_gate_cd(const Image2D& latent, double threshold,
+GateCdProfile extract_gate_cd(const ImageView& latent, double threshold,
                               const Rect& gate_region, bool vertical_poly,
                               const CdExtractOptions& opts = {});
 
 /// Printed linewidth of a straight wire segment at its midpoint (used for
 /// the multi-layer metal extraction, experiment T5).  `horizontal_cd` true
 /// measures across x.  Returns nullopt when the segment did not print.
-std::optional<double> extract_wire_cd(const Image2D& latent, double threshold,
+std::optional<double> extract_wire_cd(const ImageView& latent, double threshold,
                                       const Rect& wire_segment,
                                       bool horizontal_cd,
                                       double reach_factor = 3.0);

@@ -15,7 +15,7 @@ double dist(ContourPoint a, ContourPoint b) {
 
 /// Bisection refinement of a crossing bracketed between t0 and t1 along
 /// p0 + t * (p1 - p0), t in [0, 1].
-double refine(const Image2D& img, double threshold, ContourPoint p0,
+double refine(const ImageView& img, double threshold, ContourPoint p0,
               ContourPoint p1, double t0, double t1) {
   const auto value = [&](double t) {
     return img.sample(p0.x + (p1.x - p0.x) * t, p0.y + (p1.y - p0.y) * t) -
@@ -45,7 +45,7 @@ double ContourPath::length() const {
   return total;
 }
 
-std::optional<double> first_crossing(const Image2D& img, double threshold,
+std::optional<double> first_crossing(const ImageView& img, double threshold,
                                      ContourPoint p0, ContourPoint p1,
                                      double step_nm) {
   POC_EXPECTS(step_nm > 0.0);
@@ -68,7 +68,7 @@ std::optional<double> first_crossing(const Image2D& img, double threshold,
   return std::nullopt;
 }
 
-std::optional<double> printed_width(const Image2D& img, double threshold,
+std::optional<double> printed_width(const ImageView& img, double threshold,
                                     ContourPoint center, bool horizontal,
                                     double max_reach_nm) {
   POC_EXPECTS(max_reach_nm > 0.0);

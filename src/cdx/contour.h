@@ -26,7 +26,7 @@ struct ContourPath {
 /// Finds the first threshold crossing of the (bilinear) field along the
 /// segment p0 -> p1, refined by bisection to ~0.01 nm.  Returns the distance
 /// from p0 in nm, or nullopt if the field never crosses.
-std::optional<double> first_crossing(const Image2D& img, double threshold,
+std::optional<double> first_crossing(const ImageView& img, double threshold,
                                      ContourPoint p0, ContourPoint p1,
                                      double step_nm);
 
@@ -34,7 +34,7 @@ std::optional<double> first_crossing(const Image2D& img, double threshold,
 /// horizontal (dx=1) or vertical (dx=0) direction: scans outward both ways
 /// up to max_reach_nm.  Returns nullopt if `center` itself is not below
 /// threshold (feature failed to print: pinched away).
-std::optional<double> printed_width(const Image2D& img, double threshold,
+std::optional<double> printed_width(const ImageView& img, double threshold,
                                     ContourPoint center, bool horizontal,
                                     double max_reach_nm);
 

@@ -1119,7 +1119,8 @@ const std::vector<Rect>& PostOpcFlow::mask_for_instance(
   return masks_[instance];
 }
 
-GateExtraction PostOpcFlow::extract_gate(GateIdx gate, const Image2D& latent,
+GateExtraction PostOpcFlow::extract_gate(GateIdx gate,
+                                         const ImageView& latent,
                                          double threshold) const {
   GateExtraction ext;
   ext.gate = gate;
@@ -1196,10 +1197,10 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
       fault::maybe_throw(fault::Kind::kAlloc);
       const std::size_t instance = design_->gate_to_instance[g];
       const Rect window = design_->litho_window(g, options_.ambit_nm);
-      const Image2D latent = latent_for_window(
+      const WindowLatent latent = latent_for_window(
           sim, mask_for_instance(instance), window, exposure,
           options_.extract_quality, /*use_cache=*/true);
-      out[k] = extract_gate(g, latent, sim.print_threshold());
+      out[k] = extract_gate(g, latent.view, sim.print_threshold());
       if (journal_) journal_gate(jfp, g, out[k], JournalOutcome{});
     }, cancel);
   } else {
@@ -1256,10 +1257,10 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
                 attempt == 0 ? options_.extract_quality : retry_quality;
             try {
               fault::maybe_throw(fault::Kind::kAlloc);
-              const Image2D latent =
+              const WindowLatent latent =
                   latent_for_window(s, mask_for_instance(instance), window,
                                     exposure, q, /*use_cache=*/attempt == 0);
-              out[k] = extract_gate(g, latent, s.print_threshold());
+              out[k] = extract_gate(g, latent.view, s.print_threshold());
               oc.attempts = attempt + 1;
               oc.recovered = attempt > 0;
               if (journal_) {
@@ -1310,14 +1311,17 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
   return out;
 }
 
-Image2D PostOpcFlow::latent_for_window(const LithoSimulator& sim,
-                                       const std::vector<Rect>& mask,
-                                       const Rect& window,
-                                       const Exposure& exposure,
-                                       LithoQuality quality,
-                                       bool use_cache) const {
+PostOpcFlow::WindowLatent PostOpcFlow::latent_for_window(
+    const LithoSimulator& sim, const std::vector<Rect>& mask,
+    const Rect& window, const Exposure& exposure, LithoQuality quality,
+    bool use_cache) const {
+  const auto fresh = [](Image2D latent) {
+    auto pixels = std::make_shared<const Image2D>(std::move(latent));
+    const ImageView view(*pixels);
+    return WindowLatent{std::move(pixels), view};
+  };
   if (!caches_ || !use_cache) {
-    return sim.latent(mask, window, exposure, quality);
+    return fresh(sim.latent(mask, window, exposure, quality));
   }
   // The latent image depends on optics, resist diffusion (the threshold
   // only applies downstream, at contour extraction), exposure, quality and
@@ -1338,11 +1342,11 @@ Image2D PostOpcFlow::latent_for_window(const LithoSimulator& sim,
 
   const double ax = static_cast<double>(anchor.x);
   const double ay = static_cast<double>(anchor.y);
-  if (const auto hit = caches_->latent.find(fp)) {
-    Image2D img(hit->nx(), hit->ny(), hit->pixel(), hit->origin_x() + ax,
-                hit->origin_y() + ay);
-    img.data() = hit->data();
-    return img;
+  if (auto hit = caches_->latent.find(fp)) {
+    // Read the entry in place at this window's origin: the view holds the
+    // very doubles a rebased copy would, so every sample is bit-identical.
+    const ImageView view(*hit, hit->origin_x() + ax, hit->origin_y() + ay);
+    return WindowLatent{std::move(hit), view};
   }
 
   Image2D latent = sim.latent(mask, window, exposure, quality);
@@ -1353,7 +1357,7 @@ Image2D PostOpcFlow::latent_for_window(const LithoSimulator& sim,
   const std::size_t cost =
       latent.nx() * latent.ny() * sizeof(double) + sizeof(Image2D);
   caches_->latent.insert(fp, std::move(entry), cost);
-  return latent;
+  return fresh(std::move(latent));
 }
 
 std::vector<GateExtraction> PostOpcFlow::extract(

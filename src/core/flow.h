@@ -410,18 +410,25 @@ class PostOpcFlow {
   void run_opc_windows(
       const std::function<OpcMode(std::size_t)>& mode_for_instance,
       const std::vector<std::size_t>* subset = nullptr);
-  GateExtraction extract_gate(GateIdx gate, const Image2D& latent,
+  GateExtraction extract_gate(GateIdx gate, const ImageView& latent,
                               double threshold) const;
   std::vector<GateExtraction> extract_impl(
       const LithoSimulator& sim, const Exposure& exposure,
       const std::optional<std::vector<GateIdx>>& subset) const;
+  /// A window's latent image as extraction reads it: `view` samples
+  /// `pixels` in place, and `pixels` keeps them alive while it does.
+  struct WindowLatent {
+    std::shared_ptr<const Image2D> pixels;
+    ImageView view;
+  };
   /// sim.latent() memoized through the window cache (bit-identical either
-  /// way); falls through to a plain call when the cache is disabled or
+  /// way; a hit is read in place at this window's origin, not copied);
+  /// falls through to a plain call when the cache is disabled or
   /// `use_cache` is false (retry attempts).
-  Image2D latent_for_window(const LithoSimulator& sim,
-                            const std::vector<Rect>& mask, const Rect& window,
-                            const Exposure& exposure, LithoQuality quality,
-                            bool use_cache) const;
+  WindowLatent latent_for_window(const LithoSimulator& sim,
+                                 const std::vector<Rect>& mask,
+                                 const Rect& window, const Exposure& exposure,
+                                 LithoQuality quality, bool use_cache) const;
 
   /// Per-window containment bookkeeping shared by the three hot loops.
   /// Outcomes land in pre-sized slots and are merged into health_ in window

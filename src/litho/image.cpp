@@ -32,6 +32,10 @@ bool Image2D::in_bounds(double x, double y) const {
 }
 
 double Image2D::sample(double x, double y) const {
+  return ImageView(*this).sample(x, y);
+}
+
+double ImageView::sample(double x, double y) const {
   POC_EXPECTS(nx_ > 1 && ny_ > 1);
   double fx = (x - ox_) / pixel_;
   double fy = (y - oy_) / pixel_;

@@ -1,6 +1,7 @@
 // Scalar field on a uniform grid over a layout window: mask transmission,
 // aerial-image intensity, or blurred resist signal.  Coordinates are layout
-// nanometres; (ox, oy) is the *centre* of pixel (0, 0).
+// nanometres; (ox, oy) is the *centre* of pixel (0, 0).  ImageView reads an
+// image's pixels in place, at its own origin or a rebased one.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +30,8 @@ class Image2D {
   double x_of(std::size_t ix) const { return ox_ + pixel_ * static_cast<double>(ix); }
   double y_of(std::size_t iy) const { return oy_ + pixel_ * static_cast<double>(iy); }
 
-  /// Bilinear interpolation at layout coordinates; clamps to the grid edge.
+  /// Bilinear interpolation at layout coordinates; clamps to the grid edge
+  /// (ImageView::sample at this image's origin).
   double sample(double x, double y) const;
 
   /// True if (x, y) lies within the sampled area (pixel centres hull).
@@ -56,6 +58,32 @@ class Image2D {
   double pixel_ = 1.0;
   double ox_ = 0.0, oy_ = 0.0;
   std::vector<double> data_;
+};
+
+/// Read-only view of an image's pixels with pixel (0, 0) centred at
+/// (ox, oy): what CD extraction samples.  A window-cache hit is read this
+/// way, in place, at the window's origin instead of being copied there.
+/// The pixels must outlive the view.
+class ImageView {
+ public:
+  /// `img` at its own origin.
+  ImageView(const Image2D& img)  // NOLINT(google-explicit-constructor)
+      : ImageView(img, img.origin_x(), img.origin_y()) {}
+  /// `img`'s pixels with pixel (0, 0) centred at (ox, oy).
+  ImageView(const Image2D& img, double ox, double oy)
+      : data_(img.data().data()), nx_(img.nx()), ny_(img.ny()),
+        pixel_(img.pixel()), ox_(ox), oy_(oy) {}
+
+  double pixel() const { return pixel_; }
+
+  /// Bilinear interpolation at layout coordinates; clamps to the grid edge.
+  double sample(double x, double y) const;
+
+ private:
+  const double* data_;
+  std::size_t nx_, ny_;
+  double pixel_;
+  double ox_, oy_;
 };
 
 }  // namespace poc

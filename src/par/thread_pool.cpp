@@ -1,6 +1,7 @@
 #include "src/par/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace poc {
 namespace {
@@ -185,7 +186,13 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
     std::lock_guard<std::mutex> lock(mutex_);
     batch_.reset();
   }
-  if (batch->error) std::rethrow_exception(batch->error);
+  if (batch->error) {
+    // Take the exception out of the batch first: a worker may still hold
+    // the batch, and its last reference must not be the one that destroys
+    // the exception.  So the exception lives and dies on this thread.
+    const std::exception_ptr error = std::exchange(batch->error, nullptr);
+    std::rethrow_exception(error);
+  }
   if (batch->chunks_skipped.load(std::memory_order_relaxed) > 0) {
     throw_cancelled();
   }

@@ -6,22 +6,19 @@
 #include <unordered_map>
 
 #include "src/common/stats.h"
+#include "src/sta/timing_graph.h"
 
 namespace poc {
 
-namespace {
-
 /// Backward DFS path enumeration with arrival-bound pruning and explicit
-/// deterministic tie-breaking (pin id) in every ordering.
-class Enumerator {
+/// deterministic tie-breaking (pin id) in every ordering.  Reads the
+/// graph's tables in place: cell timing per gate, load per net, wire delay
+/// per (gate, pin) and the primary-output list.
+class PathEnumerator {
  public:
-  Enumerator(const Netlist& nl, const StdCellLibrary& lib,
-             const std::vector<DelayAnnotation>& annotations,
-             const std::vector<NetParasitics>& parasitics,
-             const StaOptions& options, const std::vector<NodeTime>& rise,
-             const std::vector<NodeTime>& fall, Ps best_arrival)
-      : nl_(nl), lib_(lib), annotations_(annotations), parasitics_(parasitics),
-        options_(options), rise_(rise), fall_(fall),
+  PathEnumerator(const TimingGraph& graph, const StaOptions& options,
+                 Ps best_arrival)
+      : g_(graph), nl_(*graph.nl_), options_(options),
         cutoff_(best_arrival - options.path_window) {}
 
   std::vector<TimingPath> enumerate() {
@@ -33,9 +30,9 @@ class Enumerator {
       Ps at;
     };
     std::vector<End> ends;
-    for (NetIdx e : nl_.primary_outputs()) {
+    for (NetIdx e : g_.outputs_) {
       for (bool rising : {true, false}) {
-        const auto& node = rising ? rise_[e] : fall_[e];
+        const auto& node = rising ? g_.rise_[e] : g_.fall_[e];
         if (node.valid) ends.push_back({e, rising, node.at});
       }
     }
@@ -86,7 +83,7 @@ class Enumerator {
   void walk(NetIdx net, bool rising, Ps suffix) {
     if (paths_.size() >= options_.max_paths * 4) return;  // global budget
     if (endpoint_emitted_ >= options_.max_paths) return;  // per endpoint
-    const auto& node = rising ? rise_[net] : fall_[net];
+    const auto& node = rising ? g_.rise_[net] : g_.fall_[net];
     if (!node.valid || node.at + suffix < cutoff_) return;
     const Net& n = nl_.net(net);
     chain_.push_back({net, rising, 0.0});
@@ -96,10 +93,10 @@ class Enumerator {
       return;
     }
     const GateInst& gate = nl_.gate(n.driver);
-    const CellTiming& timing = lib_.timing(gate.cell);
-    const DelayAnnotation ann =
-        annotations_.empty() ? DelayAnnotation{} : annotations_[n.driver];
-    const Ff load = sta_net_load(nl_, lib_, parasitics_, net, options_);
+    const CellTiming& timing = *g_.timing_[n.driver];
+    const DelayAnnotation& ann = g_.ann_[n.driver];
+    const Ff load = g_.load_[net];
+    const Ps* wire = &g_.wire_[g_.pin_offset_[n.driver]];
     // Expand fanins worst-first so the first completed path per endpoint is
     // its critical path (greedy max-contributor backtrace); ties by input
     // net id.
@@ -112,18 +109,16 @@ class Enumerator {
     for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
       const NetIdx in = gate.inputs[pin];
       const bool in_rising = !rising;  // negative unate
-      const auto& in_node = in_rising ? rise_[in] : fall_[in];
+      const auto& in_node = in_rising ? g_.rise_[in] : g_.fall_[in];
       if (!in_node.valid) continue;
       const TimingArc& arc = timing.arcs[pin];
-      const Ps wire = sta_sink_wire_delay(
-          parasitics_, in, sta_sink_ordinal(nl_, in, n.driver, pin));
-      const Ps slew_in = StaEngine::degraded_slew(in_node.slew, wire);
+      const Ps slew_in = StaEngine::degraded_slew(in_node.slew, wire[pin]);
       const Ps d = (rising
                         ? arc.delay_rise.lookup(slew_in, load) * ann.rise_scale
                         : arc.delay_fall.lookup(slew_in, load) *
                               ann.fall_scale) *
                    options_.late_derate;
-      cands.push_back({in, wire + d, in_node.at + wire + d});
+      cands.push_back({in, wire[pin] + d, in_node.at + wire[pin] + d});
     }
     std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
       if (a.through != b.through) return a.through > b.through;
@@ -158,32 +153,19 @@ class Enumerator {
     paths_.push_back(std::move(path));
   }
 
+  const TimingGraph& g_;
   const Netlist& nl_;
-  const StdCellLibrary& lib_;
-  const std::vector<DelayAnnotation>& annotations_;
-  const std::vector<NetParasitics>& parasitics_;
   const StaOptions& options_;
-  const std::vector<NodeTime>& rise_;
-  const std::vector<NodeTime>& fall_;
   Ps cutoff_;
   std::vector<Hop> chain_;
   std::vector<TimingPath> paths_;
   std::size_t endpoint_emitted_ = 0;
 };
 
-}  // namespace
-
-std::vector<TimingPath> top_paths(const Netlist& nl,
-                                  const StdCellLibrary& lib,
-                                  const std::vector<DelayAnnotation>& annotations,
-                                  const std::vector<NetParasitics>& parasitics,
+std::vector<TimingPath> top_paths(const TimingGraph& graph,
                                   const StaOptions& options,
-                                  const std::vector<NodeTime>& rise,
-                                  const std::vector<NodeTime>& fall,
                                   Ps worst_arrival) {
-  Enumerator en(nl, lib, annotations, parasitics, options, rise, fall,
-                worst_arrival);
-  return en.enumerate();
+  return PathEnumerator(graph, options, worst_arrival).enumerate();
 }
 
 PathRankComparison compare_path_ranks(const Netlist& nl,

@@ -1,7 +1,10 @@
 // Path enumeration and speed-path comparison utilities.
 //
-// top_paths() is the single enumerator both STA entry points share
-// (StaEngine::run and TimingGraph); compare_path_ranks/format_path serve
+// top_paths() is the timing graph's path enumerator: TimingGraph::top_paths
+// and TimingGraph::report call it, and StaEngine::run reaches it through
+// the graph it builds.  It reads the graph's own tables (per-gate cell
+// timing, net loads, wire delays, primary outputs), so a query re-derives
+// nothing the graph already holds.  compare_path_ranks/format_path serve
 // the path-reordering analysis (experiment F4).
 #pragma once
 
@@ -13,20 +16,18 @@
 
 namespace poc {
 
-/// Top-K worst paths via backward DFS with arrival-bound pruning over
-/// already-propagated arrivals.  All orderings break ties explicitly by
-/// pin (net) id — worst-first by arrival, then lowest endpoint net, rise
-/// before fall, then lexicographically by traversed net ids — so the
-/// ranking is deterministic across levelization and traversal-order
-/// changes.  `annotations` is empty (= all drawn) or per-gate;
-/// `worst_arrival` sets the enumeration cutoff (path_window below it).
-std::vector<TimingPath> top_paths(const Netlist& nl,
-                                  const StdCellLibrary& lib,
-                                  const std::vector<DelayAnnotation>& annotations,
-                                  const std::vector<NetParasitics>& parasitics,
+class TimingGraph;
+
+/// Top-K worst paths via backward DFS with arrival-bound pruning over the
+/// graph's already-propagated arrivals.  All orderings break ties
+/// explicitly by pin (net) id — worst-first by arrival, then lowest
+/// endpoint net, rise before fall, then lexicographically by traversed net
+/// ids — so the ranking is deterministic across levelization and
+/// traversal-order changes.  `options` supplies max_paths, path_window,
+/// late_derate and clock_period; `worst_arrival` sets the enumeration
+/// cutoff (path_window below it).  The graph's arrivals must be current.
+std::vector<TimingPath> top_paths(const TimingGraph& graph,
                                   const StaOptions& options,
-                                  const std::vector<NodeTime>& rise,
-                                  const std::vector<NodeTime>& fall,
                                   Ps worst_arrival);
 
 struct PathRankComparison {

@@ -60,6 +60,12 @@ void TimingGraph::set_threads(std::size_t threads) {
 void TimingGraph::build_static() {
   const std::size_t num_gates = nl_->num_gates();
   const std::size_t num_nets = nl_->num_nets();
+  // Cell timing by name is a linear scan of the library: resolve it once.
+  timing_.resize(num_gates);
+  for (GateIdx g = 0; g < num_gates; ++g) {
+    timing_[g] = &lib_->timing(nl_->gate(g).cell);
+  }
+  outputs_ = nl_->primary_outputs();
   topo_ = nl_->topological_order();
 
   // Levelize: a net's level is its driver's level (primary inputs at 0), a
@@ -236,7 +242,7 @@ void TimingGraph::flush() { ensure_arrivals(); }
 
 TimingGraph::GateArrival TimingGraph::eval_arrival(GateIdx g) const {
   const GateInst& gate = nl_->gate(g);
-  const CellTiming& timing = lib_->timing(gate.cell);
+  const CellTiming& timing = *timing_[g];
   const DelayAnnotation& ann = ann_[g];
   const Ff load = load_[gate.output];
   GateArrival out;
@@ -313,8 +319,7 @@ TimingGraph::RequiredPair TimingGraph::eval_required(NetIdx net) const {
   RequiredPair req{options_.clock_period, options_.clock_period};
   for (const auto& [g, pin] : nl_->net(net).sinks) {
     const GateInst& gate = nl_->gate(g);
-    const CellTiming& timing = lib_->timing(gate.cell);
-    const TimingArc& arc = timing.arcs[pin];
+    const TimingArc& arc = timing_[g]->arcs[pin];
     const DelayAnnotation& ann = ann_[g];
     const Ff load = load_[gate.output];
     const Ps wire = wire_[pin_offset_[g] + pin];
@@ -385,7 +390,7 @@ void TimingGraph::ensure_required() {
 Ps TimingGraph::worst_arrival() {
   ensure_arrivals();
   Ps worst = 0.0;
-  for (NetIdx e : nl_->primary_outputs()) {
+  for (NetIdx e : outputs_) {
     for (bool rising : {true, false}) {
       const NodeTime& node = rising ? rise_[e] : fall_[e];
       if (node.valid) worst = std::max(worst, node.at);
@@ -401,7 +406,7 @@ Ps TimingGraph::worst_slack() {
 std::vector<EndpointTime> TimingGraph::endpoint_slacks() {
   ensure_arrivals();
   std::vector<EndpointTime> endpoints;
-  for (NetIdx e : nl_->primary_outputs()) {
+  for (NetIdx e : outputs_) {
     for (bool rising : {true, false}) {
       const NodeTime& node = rising ? rise_[e] : fall_[e];
       if (!node.valid) continue;
@@ -456,7 +461,7 @@ std::vector<Ps> TimingGraph::gate_slacks() {
 double TimingGraph::total_leakage_ua() const {
   double total = 0.0;
   for (GateIdx g = 0; g < nl_->num_gates(); ++g) {
-    total += lib_->timing(nl_->gate(g).cell).leakage_ua * ann_[g].leak_scale;
+    total += timing_[g]->leakage_ua * ann_[g].leak_scale;
   }
   return total;
 }
@@ -465,8 +470,7 @@ std::vector<TimingPath> TimingGraph::top_paths(std::size_t k) {
   ensure_arrivals();
   StaOptions opts = options_;
   opts.max_paths = k;
-  return poc::top_paths(*nl_, *lib_, ann_, parasitics(), opts, rise_, fall_,
-                        worst_arrival());
+  return poc::top_paths(*this, opts, worst_arrival());
 }
 
 StaReport TimingGraph::report() {
@@ -477,8 +481,7 @@ StaReport TimingGraph::report() {
     report.worst_arrival = std::max(report.worst_arrival, et.arrival);
   }
   report.worst_slack = options_.clock_period - report.worst_arrival;
-  report.paths = poc::top_paths(*nl_, *lib_, ann_, parasitics(), options_,
-                                rise_, fall_, report.worst_arrival);
+  report.paths = poc::top_paths(*this, options_, report.worst_arrival);
   report.total_leakage_ua = total_leakage_ua();
   report.gate_slack = gate_slacks();
   return report;

@@ -138,6 +138,9 @@ class TimingGraph {
     Ps rise = 0.0, fall = 0.0;
   };
 
+  /// The path enumerator (paths.cpp) walks the graph's own tables.
+  friend class PathEnumerator;
+
   void build_static();
   void rebuild_parasitic_tables();
   void seed_primary_inputs();
@@ -161,6 +164,8 @@ class TimingGraph {
   std::vector<DelayAnnotation> ann_;  ///< always num_gates, default = drawn
 
   // Static structure.
+  std::vector<const CellTiming*> timing_;  ///< per gate, resolved once
+  std::vector<NetIdx> outputs_;            ///< primary outputs, ascending
   std::vector<GateIdx> topo_;
   std::vector<std::size_t> level_;                 ///< per gate
   std::vector<std::size_t> net_level_;             ///< driver level (PI = 0)

@@ -213,6 +213,59 @@ TEST(StaIncrementalFuzz, CornerSwitchesOnWarmGraph) {
   }
 }
 
+TEST(StaIncrementalFuzz, ParasiticsSwitchOnWarmGraph) {
+  // The graph keeps net loads, wire delays and per-gate cell timing in
+  // tables that its arrival, required and path queries all read.  Switch
+  // one warm graph between wired and ideal nets and between PO loads in
+  // the middle of an annotation stream: every table must follow each
+  // switch.  The reference takes its parasitics through the other entry
+  // point (borrow_parasitics) and its PO load at construction, so a
+  // switch that left a table stale cannot fail the same way on both sides.
+  const Netlist nl = make_benchmark("adder8");
+  const PlacedDesign design = place_and_route(nl, lib());
+  const std::vector<NetParasitics> parasitics =
+      Extractor(design.tech).extract_design(design);
+  StaOptions heavy_po;
+  heavy_po.po_load_ff = 12.0;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    std::mt19937_64 rng(31 + threads);
+    TimingGraph warm(nl, lib(), {}, threads);
+    StaOptions options;
+    bool wired = false;
+    std::vector<DelayAnnotation> current(nl.num_gates());
+    std::uniform_int_distribution<std::size_t> gate_pick(0,
+                                                         nl.num_gates() - 1);
+    for (std::size_t step = 0; step < 12; ++step) {
+      switch (step % 4) {
+        case 0:
+          warm.set_parasitics(parasitics);
+          wired = true;
+          break;
+        case 2:
+          warm.borrow_parasitics(nullptr);
+          wired = false;
+          break;
+        default:  // a PO-load switch, on wired (1) and ideal (3) nets
+          options = options.po_load_ff == StaOptions{}.po_load_ff
+                        ? heavy_po
+                        : StaOptions{};
+          warm.set_options(options);
+          break;
+      }
+      for (int k = 0; k < 3; ++k) {
+        current[gate_pick(rng)] = random_annotation(rng);
+      }
+      warm.set_annotations(current);
+      warm.flush();
+
+      TimingGraph fresh(nl, lib(), options, /*threads=*/1);
+      if (wired) fresh.borrow_parasitics(&parasitics);
+      fresh.set_annotations(current);
+      expect_equivalent(warm, fresh);
+    }
+  }
+}
+
 TEST(StaIncrementalFuzz, FullReportMatchesStatelessEngine) {
   // The warm graph's report() against StaEngine::run — the exact object the
   // flow consumes (endpoints, paths, leakage, gate slacks).
