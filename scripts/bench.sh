@@ -2,7 +2,7 @@
 # Performance proof: runs the kernel micro-benchmarks (including the SOCS
 # fast-imaging path and its kernel-budget sweep) plus the T2 bench's
 # cache, SOCS and fault-containment sections, and assembles
-# BENCH_PR4.json:
+# BENCH_PR7.json:
 #   - kernels:        every google-benchmark row (name, real_time, unit,
 #                     label — the SOCS kernel sweep stores cd_delta_nm in
 #                     the label)

@@ -7,7 +7,7 @@
 //
 // Concurrency model: the fingerprint space is split across independent
 // shards (key -> shard by fingerprint bits).  Lookups take a shard's
-// *shared* (reader) lock — the hot peek/find path on large shards no longer
+// *shared* (reader) lock — the hot find path on large shards no longer
 // serializes readers behind each other or behind writers on other keys —
 // while inserts and evictions take the exclusive lock.  Recency is a
 // per-entry atomic tick stamped from a cache-wide counter, so a shared-lock
@@ -120,7 +120,7 @@ class ShardedCache {
   /// Returns the cached value or null, refreshing LRU recency on a hit.
   /// The returned pointer stays valid after eviction (shared ownership).
   std::shared_ptr<const Value> find(const Fingerprint& fp) {
-    if (auto hit = find_in_memory(fp, /*refresh=*/true)) {
+    if (auto hit = find_in_memory(fp)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return hit;
     }
@@ -130,15 +130,6 @@ class ShardedCache {
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
-  }
-
-  /// find() without the bookkeeping: no hit/miss counters, no LRU recency
-  /// refresh, so a probe leaves every observable cache statistic — and the
-  /// eviction order — untouched.  With a disk tier attached, a memory miss
-  /// still consults the store (and promotes the entry).
-  std::shared_ptr<const Value> peek(const Fingerprint& fp) {
-    if (auto hit = find_in_memory(fp, /*refresh=*/false)) return hit;
-    return load_from_disk(fp);
   }
 
   /// Inserts `value` with the given approximate byte cost, evicting LRU
@@ -204,15 +195,12 @@ class ShardedCache {
     return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  std::shared_ptr<const Value> find_in_memory(const Fingerprint& fp,
-                                              bool refresh) {
+  std::shared_ptr<const Value> find_in_memory(const Fingerprint& fp) {
     Shard& s = shard_of(fp);
     std::shared_lock<std::shared_mutex> lock(s.mutex);
     const auto it = s.map.find(fp);
     if (it == s.map.end()) return nullptr;
-    if (refresh) {
-      it->second.tick.store(next_tick(), std::memory_order_relaxed);
-    }
+    it->second.tick.store(next_tick(), std::memory_order_relaxed);
     return it->second.value;
   }
 

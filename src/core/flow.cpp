@@ -106,18 +106,43 @@ void log_cache(const char* what, const CacheCounters& c) {
            c.evictions, " evictions");
 }
 
-// Retry-escalation helpers (see RecoveryOptions): sign-off quality instead
-// of the nominal setting, and the Abbe reference engine instead of SOCS.
+// The fixed retry policy (see RecoveryOptions): a contained window gets the
+// nominal attempt plus one retry, which runs at the sign-off quality tier
+// and on the Abbe reference engine instead of SOCS.
 
-// Escalated retries always jump to the sign-off quality tier.
+constexpr std::uint32_t kContainedAttempts = 2;
 constexpr LithoQuality kEscalatedQuality = LithoQuality::kFine;
 
-LithoSimulator with_abbe(const LithoSimulator& sim) {
+LithoSimulator retry_sim(const LithoSimulator& sim) {
+  if (sim.imaging().mode != ImagingMode::kSocs) return sim;
   ImagingOptions im = sim.imaging();
   im.mode = ImagingMode::kAbbe;
   LithoSimulator out = sim;
   out.set_imaging(im);
   return out;
+}
+
+/// Polygons as a disjoint rectangle mask.
+std::vector<Rect> polys_to_mask(const std::vector<Polygon>& polys) {
+  std::vector<Rect> rects;
+  for (const Polygon& p : polys) {
+    for (const Rect& r : decompose(p)) rects.push_back(r);
+  }
+  return disjoint_union(rects);
+}
+
+/// Records `e` as the window's fault; FlowHealth reports the first one.
+void set_fault(JournalOutcome& oc, const FlowError& e) {
+  oc.faulted = true;
+  oc.code = e.code;
+  oc.origin = e.origin;
+  oc.message = e.message;
+}
+
+std::vector<std::uint64_t> window_ids(std::size_t n) {
+  std::vector<std::uint64_t> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = i;
+  return ids;
 }
 
 // ---- Run-journal payload codecs --------------------------------------------
@@ -152,10 +177,10 @@ bool decode_rects(ByteReader& r, std::vector<Rect>& rects) {
   return r.ok();
 }
 
-std::vector<std::uint8_t> encode_opc_payload(const std::vector<Rect>& mask,
-                                             const OpcStats& s,
-                                             bool degraded) {
-  ByteWriter w;
+// One OPC window's mask and stats: the whole disk-cache entry, and the
+// journal payload before its trailing degraded byte.
+void encode_opc_window(ByteWriter& w, const std::vector<Rect>& mask,
+                       const OpcStats& s) {
   encode_rects(w, mask);
   w.u64(s.windows);
   w.u64(s.model_based_windows);
@@ -163,6 +188,24 @@ std::vector<std::uint8_t> encode_opc_payload(const std::vector<Rect>& mask,
   w.u64(s.iterations);
   w.f64(s.max_abs_epe_nm);
   w.f64(s.rms_epe_sum);
+}
+
+bool decode_opc_window(ByteReader& r, std::vector<Rect>& mask, OpcStats& s) {
+  if (!decode_rects(r, mask)) return false;
+  s.windows = r.u64();
+  s.model_based_windows = r.u64();
+  s.fragments = r.u64();
+  s.iterations = r.u64();
+  s.max_abs_epe_nm = r.f64();
+  s.rms_epe_sum = r.f64();
+  return r.ok();
+}
+
+std::vector<std::uint8_t> encode_opc_payload(const std::vector<Rect>& mask,
+                                             const OpcStats& s,
+                                             bool degraded) {
+  ByteWriter w;
+  encode_opc_window(w, mask, s);
   w.u8(degraded ? 1 : 0);
   return w.take();
 }
@@ -171,13 +214,7 @@ bool decode_opc_payload(const std::vector<std::uint8_t>& bytes,
                         std::vector<Rect>& mask, OpcStats& s,
                         bool& degraded) {
   ByteReader r(bytes);
-  if (!decode_rects(r, mask)) return false;
-  s.windows = r.u64();
-  s.model_based_windows = r.u64();
-  s.fragments = r.u64();
-  s.iterations = r.u64();
-  s.max_abs_epe_nm = r.f64();
-  s.rms_epe_sum = r.f64();
+  if (!decode_opc_window(r, mask, s)) return false;
   degraded = r.u8() != 0;
   return r.done();
 }
@@ -294,14 +331,9 @@ void hash_mosfet(FpHasher& h, const MosfetParams& p) {
 
 }  // namespace
 
-/// The three flow-level result caches.  Values are stored in the window's
-/// local frame (anchor = window origin subtracted from all coordinates) and
-/// translated back on a hit, so one entry serves every placement of the
-/// same cell context.  Translation of integer geometry and of half-integer
-/// image origins is exact, which keeps hits bit-identical to recomputes.
 /// Containment bookkeeping.  Worker threads only ever touch the sorted
 /// degraded-gate set (order-independent); fault entries are appended by the
-/// calling thread in window-index order via record_outcomes, so health() is
+/// calling thread in window-index order by run_windows, so health() is
 /// bit-identical at any thread count.
 struct PostOpcFlow::HealthState {
   std::mutex mutex;
@@ -314,12 +346,14 @@ struct PostOpcFlow::TimingState {
   std::unique_ptr<TimingGraph> graph;  ///< null until first warm re-time
 };
 
+/// The three flow-level result caches.  Values are stored in the window's
+/// local frame (anchor = window origin subtracted from all coordinates) and
+/// translated back on a hit, so one entry serves every placement of the
+/// same cell context.  Translation of integer geometry and of half-integer
+/// image origins is exact, which keeps hits bit-identical to recomputes.
 struct PostOpcFlow::WindowCaches {
   /// Corrected mask + per-window OPC stats, local frame.
-  struct OpcEntry {
-    std::vector<Rect> mask;
-    OpcStats stats;
-  };
+  using OpcEntry = OpcWindowResult;
   /// ORC report with violation coordinates in the local frame.
   struct OrcEntry {
     OrcReport report;
@@ -346,13 +380,7 @@ namespace {
 std::vector<std::uint8_t> encode_opc_entry(
     const PostOpcFlow::WindowCaches::OpcEntry& e) {
   ByteWriter w;
-  encode_rects(w, e.mask);
-  w.u64(e.stats.windows);
-  w.u64(e.stats.model_based_windows);
-  w.u64(e.stats.fragments);
-  w.u64(e.stats.iterations);
-  w.f64(e.stats.max_abs_epe_nm);
-  w.f64(e.stats.rms_epe_sum);
+  encode_opc_window(w, e.mask, e.stats);
   return w.take();
 }
 
@@ -360,14 +388,7 @@ std::shared_ptr<PostOpcFlow::WindowCaches::OpcEntry> decode_opc_entry(
     const std::vector<std::uint8_t>& bytes) {
   ByteReader r(bytes);
   auto e = std::make_shared<PostOpcFlow::WindowCaches::OpcEntry>();
-  if (!decode_rects(r, e->mask)) return nullptr;
-  e->stats.windows = r.u64();
-  e->stats.model_based_windows = r.u64();
-  e->stats.fragments = r.u64();
-  e->stats.iterations = r.u64();
-  e->stats.max_abs_epe_nm = r.f64();
-  e->stats.rms_epe_sum = r.f64();
-  return r.done() ? e : nullptr;
+  return decode_opc_window(r, e->mask, e->stats) && r.done() ? e : nullptr;
 }
 
 std::vector<std::uint8_t> encode_latent_entry(const Image2D& img) {
@@ -505,10 +526,6 @@ PostOpcFlow::PostOpcFlow(const PlacedDesign& design, const StdCellLibrary& lib,
   }
 }
 
-const CancelToken* PostOpcFlow::cancel_token() const {
-  return options_.cancel != nullptr ? options_.cancel : &global_cancel_token();
-}
-
 Fingerprint PostOpcFlow::config_fingerprint() const {
   FpHasher h;
   h.str("poc-run-config-v1");
@@ -528,12 +545,12 @@ Fingerprint PostOpcFlow::config_fingerprint() const {
       .f64(options_.silicon.dose_scale)
       .f64(options_.silicon.aclv_sigma_nm);
   // Recovery shapes outcomes (retry counts, degradations), so records from
-  // a differently-contained run must not replay.  threads and cache/journal
-  // knobs are deliberately absent: results are bit-identical across them.
-  h.u64(options_.recovery.enabled ? 1 : 0)
-      .u64(options_.recovery.max_retries)
-      .u64(options_.recovery.escalate_quality ? 1 : 0)
-      .u64(options_.recovery.fallback_to_abbe ? 1 : 0);
+  // a differently-contained run must not replay.  The fixed retry policy
+  // still hashes as the three knobs it replaced (one retry, escalated
+  // quality, Abbe fallback: 1, 1, 1), so existing journals, shard segments
+  // and disk caches keep replaying.  threads and cache/journal knobs are
+  // deliberately absent: results are bit-identical across them.
+  h.u64(options_.recovery.enabled ? 1 : 0).u64(1).u64(1).u64(1);
   // Design identity: placement (cell + transform per instance) and the
   // gate map.  Window geometry itself is hashed per record; this coarse
   // gate catches a swapped design wholesale.
@@ -565,12 +582,7 @@ std::vector<ReplayIssue> PostOpcFlow::journal_issues() const {
 
 Fingerprint PostOpcFlow::opc_record_fp(std::size_t instance,
                                        OpcMode mode) const {
-  const Instance& inst = design_->layout.instance(instance);
-  const Rect window =
-      inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-          .inflated(options_.ambit_nm);
-  const std::vector<Polygon> targets =
-      design_->layout.flatten_layer_polys(window, Layer::kPoly);
+  const auto [window, targets] = instance_window(instance);
   FpHasher h;
   h.str("jopc").u64(instance).u64(static_cast<std::uint64_t>(mode));
   h.i64(window.xlo).i64(window.ylo).i64(window.xhi).i64(window.yhi);
@@ -607,12 +619,7 @@ Fingerprint PostOpcFlow::extract_record_fp(const LithoSimulator& sim,
 Fingerprint PostOpcFlow::scan_record_fp(
     std::size_t instance, const std::vector<ProcessCorner>& conditions,
     const OrcOptions& orc_options) const {
-  const Instance& inst = design_->layout.instance(instance);
-  const Rect window =
-      inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-          .inflated(options_.ambit_nm);
-  const std::vector<Polygon> targets =
-      design_->layout.flatten_layer_polys(window, Layer::kPoly);
+  const auto [window, targets] = instance_window(instance);
   FpHasher h;
   h.str("jscan").u64(instance);
   h.i64(window.xlo).i64(window.ylo).i64(window.xhi).i64(window.yhi);
@@ -685,29 +692,6 @@ void PostOpcFlow::reset_health() const {
   std::lock_guard<std::mutex> lock(health_state_->mutex);
   health_state_->faults.clear();
   health_state_->degraded_gates.clear();
-}
-
-void PostOpcFlow::record_outcomes(
-    const char* phase, const std::vector<ItemOutcome>& outcomes,
-    const std::vector<std::uint64_t>& indices) const {
-  std::lock_guard<std::mutex> lock(health_state_->mutex);
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    const ItemOutcome& oc = outcomes[k];
-    if (!oc.faulted) continue;
-    FlowHealth::WindowFault f;
-    f.phase = phase;
-    f.index = indices[k];
-    f.code = oc.first_error.code;
-    f.origin = oc.first_error.origin;
-    f.attempts = oc.attempts;
-    f.recovered = oc.recovered;
-    f.degraded = oc.degraded;
-    log_warn("flow ", phase, " window ", f.index, " fault ",
-             oc.first_error.to_string(),
-             oc.degraded ? " -> degraded"
-                         : (oc.recovered ? " -> recovered" : ""));
-    health_state_->faults.push_back(std::move(f));
-  }
 }
 
 void PostOpcFlow::record_degraded_gate(GateIdx gate) const {
@@ -796,22 +780,20 @@ std::size_t PostOpcFlow::threads() const {
   return resolve_threads(options_.threads);
 }
 
-PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window(std::size_t instance,
-                                                     OpcMode mode) const {
-  return opc_window_impl(instance, mode, sim_, options_.opc,
-                         /*use_cache=*/true);
+PostOpcFlow::InstanceWindow PostOpcFlow::instance_window(
+    std::size_t instance) const {
+  const Instance& inst = design_->layout.instance(instance);
+  const Rect window =
+      inst.transform.apply(design_->layout.cell(inst.cell).boundary)
+          .inflated(options_.ambit_nm);
+  return {window, design_->layout.flatten_layer_polys(window, Layer::kPoly)};
 }
 
-PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window_impl(
+PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window(
     std::size_t instance, OpcMode mode, const LithoSimulator& sim,
     const OpcOptions& opc_options, bool use_cache) const {
   OpcWindowResult out;
-  const Instance& inst = design_->layout.instance(instance);
-  const Rect boundary =
-      inst.transform.apply(design_->layout.cell(inst.cell).boundary);
-  const Rect window = boundary.inflated(options_.ambit_nm);
-  const std::vector<Polygon> targets =
-      design_->layout.flatten_layer_polys(window, Layer::kPoly);
+  const auto [window, targets] = instance_window(instance);
   if (targets.empty()) return out;
 
   // Cache key: window shape + targets in the local frame, plus everything
@@ -839,24 +821,13 @@ PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window_impl(
 
   ++out.stats.windows;
   switch (mode) {
-    case OpcMode::kNone: {
-      std::vector<Rect> rects;
-      for (const Polygon& p : targets) {
-        for (const Rect& r : decompose(p)) rects.push_back(r);
-      }
-      out.mask = disjoint_union(rects);
+    case OpcMode::kNone:
+      out.mask = polys_to_mask(targets);
       break;
-    }
     case OpcMode::kRuleBased: {
       std::vector<Fragment> frags =
           fragment_polygons(targets, opc_options.fragmentation);
-      const std::vector<Polygon> corrected =
-          rule_based_opc(targets, frags, RuleOpcTable{});
-      std::vector<Rect> rects;
-      for (const Polygon& p : corrected) {
-        for (const Rect& r : decompose(p)) rects.push_back(r);
-      }
-      out.mask = disjoint_union(rects);
+      out.mask = polys_to_mask(rule_based_opc(targets, frags, RuleOpcTable{}));
       out.stats.fragments += frags.size();
       break;
     }
@@ -886,19 +857,135 @@ PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window_impl(
   return out;
 }
 
-std::vector<Rect> PostOpcFlow::drawn_mask_for_instance(
-    std::size_t instance) const {
-  const Instance& inst = design_->layout.instance(instance);
-  const Rect window =
-      inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-          .inflated(options_.ambit_nm);
-  const std::vector<Polygon> targets =
-      design_->layout.flatten_layer_polys(window, Layer::kPoly);
-  std::vector<Rect> rects;
-  for (const Polygon& p : targets) {
-    for (const Rect& r : decompose(p)) rects.push_back(r);
+/// What a window-shaped hot loop supplies to run_windows: its slots' window
+/// ids and the hooks for what differs between OPC, extraction and the scan.
+/// Every hook takes the slot index, in [0, ids.size()).
+struct PostOpcFlow::WindowPhase {
+  const char* name;  ///< FlowHealth phase: "opc" | "extract" | "scan"
+  JournalPhase journal_phase;
+  fault::Domain domain;
+  std::vector<std::uint64_t> ids;  ///< per slot: instance or gate index
+  /// Optional.  True leaves the slot as the hook set it: no journal record,
+  /// no attempt, no outcome.
+  std::function<bool(std::size_t)> skip = nullptr;
+  std::function<Fingerprint(std::size_t)> record_fp;
+  std::function<std::vector<std::uint8_t>(std::size_t)> encode;
+  /// Restores a journaled payload into the slot; false recomputes it.
+  std::function<bool(std::size_t, const std::vector<std::uint8_t>&)> decode;
+  /// Fills the slot.  Attempt 0 is nominal and may use the window caches;
+  /// the retry (attempt 1) must bypass them.
+  std::function<void(std::size_t, std::size_t)> compute;
+  /// The slot's fallback result once every attempt failed.
+  std::function<void(std::size_t)> fallback;
+  /// Flags the slot degraded: after the fallback, on replay of a degraded
+  /// record, and for an error that escaped the attempt loop.
+  std::function<void(std::size_t)> mark_degraded;
+};
+
+void PostOpcFlow::run_windows(const WindowPhase& phase) const {
+  const bool contain = options_.recovery.enabled;
+  const std::size_t n = phase.ids.size();
+  const std::string origin = std::string("flow.") + phase.name;
+  // options().cancel, or the token the SIGINT/SIGTERM bridge trips.
+  const CancelToken* cancel =
+      options_.cancel != nullptr ? options_.cancel : &global_cancel_token();
+  std::vector<JournalOutcome> outcomes(n);
+  // Flush on every exit path — including the kCancelled unwind — so a
+  // graceful shutdown leaves each drained window durable on disk.
+  struct JournalFlusher {
+    RunJournal* j;
+    ~JournalFlusher() {
+      if (j != nullptr) j->flush();
+    }
+  } flusher{journal_.get()};
+
+  const auto run_window = [&](std::size_t k) {
+    if (phase.skip && phase.skip(k)) return;
+    const std::uint64_t id = phase.ids[k];
+    JournalOutcome& oc = outcomes[k];
+    // A journal hit restores the window's result bits and its containment
+    // outcome, so health() matches the uninterrupted run entry for entry; a
+    // computed window appends both.
+    Fingerprint fp;
+    if (journal_) {
+      fp = phase.record_fp(k);
+      const JournalRecord* hit = journal_->find(fp);
+      if (hit != nullptr && phase.decode(k, hit->payload)) {
+        oc = hit->outcome;
+        if (oc.degraded) phase.mark_degraded(k);
+        return;
+      }
+    }
+    const auto append = [&] {
+      if (!journal_) return;
+      JournalRecord rec;
+      rec.phase = phase.journal_phase;
+      rec.index = id;
+      rec.fp = fp;
+      rec.outcome = oc;
+      rec.payload = phase.encode(k);
+      journal_->append(std::move(rec));
+    };
+    // Fail-fast mode still names its windows for the fault harness, so an
+    // injected fault aborts the run instead of being silently skipped, and
+    // runs the same loop with one attempt and the original exception
+    // rethrown.
+    fault::Scope scope(phase.domain, id);
+    const std::uint32_t attempts = contain ? kContainedAttempts : 1;
+    for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
+      try {
+        fault::maybe_throw(fault::Kind::kAlloc);
+        phase.compute(k, attempt);
+        oc.attempts = attempt + 1;
+        oc.recovered = attempt > 0;
+        append();
+        return;
+      } catch (...) {
+        if (!contain) throw;
+        if (!oc.faulted) set_fault(oc, capture_flow_error(id, origin));
+        oc.attempts = attempt + 1;
+      }
+    }
+    oc.degraded = true;
+    phase.fallback(k);
+    phase.mark_degraded(k);
+    append();
+  };
+
+  if (contain) {
+    // The attempt loop absorbs every window fault, so try_parallel_for
+    // only reports bugs in the bookkeeping around it (journal, fingerprint,
+    // fallback) — still fold them in rather than lose them.
+    const std::vector<IndexedError> escaped = try_parallel_for(
+        threads(), n, /*chunk=*/1, run_window, origin, cancel);
+    for (const IndexedError& e : escaped) {
+      set_fault(outcomes[e.index], e.error);
+      outcomes[e.index].degraded = true;
+      phase.mark_degraded(e.index);
+    }
+  } else {
+    parallel_for(threads(), n, /*chunk=*/1, run_window, cancel);
   }
-  return disjoint_union(rects);
+  // Outcomes (the journal's record type, so a replay restores one as is)
+  // merge into health in window-index order on this thread.
+  std::lock_guard<std::mutex> lock(health_state_->mutex);
+  for (std::size_t k = 0; k < n; ++k) {
+    const JournalOutcome& oc = outcomes[k];
+    if (!oc.faulted) continue;
+    FlowHealth::WindowFault f;
+    f.phase = phase.name;
+    f.index = phase.ids[k];
+    f.code = oc.code;
+    f.origin = oc.origin;
+    f.attempts = oc.attempts;
+    f.recovered = oc.recovered;
+    f.degraded = oc.degraded;
+    log_warn("flow ", phase.name, " window ", f.index, " fault ",
+             FlowError{oc.code, f.index, oc.origin, oc.message}.to_string(),
+             oc.degraded ? " -> degraded"
+                         : (oc.recovered ? " -> recovered" : ""));
+    health_state_->faults.push_back(std::move(f));
+  }
 }
 
 void PostOpcFlow::run_opc_windows(
@@ -908,175 +995,75 @@ void PostOpcFlow::run_opc_windows(
   masks_.assign(n, {});
   opc_degraded_.assign(n, 0);
   // Loop space: all instances, or a shard's subset of them.  Slots stay
-  // design-sized (indexed by instance); the loop index k maps through
-  // inst_of so the shard path shares every line below.
-  const std::size_t m = subset != nullptr ? subset->size() : n;
-  const auto inst_of = [subset](std::size_t k) {
-    return subset != nullptr ? (*subset)[k] : k;
-  };
+  // design-sized (indexed by instance); slot k maps through ids[k] so the
+  // shard path shares every line below.
+  const std::vector<std::uint64_t> ids =
+      subset != nullptr
+          ? std::vector<std::uint64_t>(subset->begin(), subset->end())
+          : window_ids(n);
   // Each window writes its own mask slot; the per-window stats are merged
   // on the calling thread in instance order, so the aggregate is
   // bit-identical whatever the thread count.
   std::vector<OpcStats> per_window(n);
-  const CancelToken* cancel = cancel_token();
-  // Flush on every exit path — including the kCancelled unwind — so a
-  // graceful shutdown leaves each drained window durable on disk.
-  struct JournalFlusher {
-    RunJournal* j;
-    ~JournalFlusher() {
-      if (j != nullptr) j->flush();
-    }
-  } flusher{journal_.get()};
-  // Journal replay/append around the compute: a hit restores the window's
-  // mask/stats/degradation bits; a computed window appends them.  Returns
-  // true when the record replayed cleanly.
-  const auto replay_window = [&](const JournalRecord& rec, std::size_t i) {
-    bool degraded = false;
-    if (!decode_opc_payload(rec.payload, masks_[i], per_window[i], degraded)) {
-      return false;
-    }
-    opc_degraded_[i] = degraded ? 1 : 0;
-    return true;
-  };
-  const auto journal_window = [&](const Fingerprint& fp, std::size_t i,
-                                  const JournalOutcome& outcome) {
-    JournalRecord rec;
-    rec.phase = JournalPhase::kOpc;
-    rec.index = i;
-    rec.fp = fp;
-    rec.outcome = outcome;
-    rec.payload =
-        encode_opc_payload(masks_[i], per_window[i], opc_degraded_[i] != 0);
-    journal_->append(std::move(rec));
-  };
-
-  const RecoveryOptions& rec = options_.recovery;
-  if (!rec.enabled) {
-    // Fail-fast mode still names its windows for the fault harness, so an
-    // injected fault aborts the run instead of being silently skipped —
-    // containment is what changes the outcome, not the injection.
-    parallel_for(threads(), m, /*chunk=*/1, [&](std::size_t k) {
-      const std::size_t i = inst_of(k);
-      const OpcMode mode = mode_for_instance(i);
-      Fingerprint jfp;
-      if (journal_) {
-        jfp = opc_record_fp(i, mode);
-        if (const JournalRecord* hit = journal_->find(jfp)) {
-          if (replay_window(*hit, i)) return;
-        }
-      }
-      fault::Scope scope(fault::Domain::kOpc, i);
-      fault::maybe_throw(fault::Kind::kAlloc);
-      OpcWindowResult r = opc_window(i, mode);
-      masks_[i] = std::move(r.mask);
-      per_window[i] = r.stats;
-      if (journal_) journal_window(jfp, i, JournalOutcome{});
-    }, cancel);
-  } else {
-    // Escalated settings shared by every retry attempt: sign-off quality
-    // for the draft iterations and the Abbe reference engine when the
-    // nominal path runs SOCS.
-    OpcOptions retry_opts = options_.opc;
-    if (rec.escalate_quality) retry_opts.sim_quality = retry_opts.final_quality;
-    LithoSimulator retry_sim = sim_;
-    if (rec.fallback_to_abbe && sim_.imaging().mode == ImagingMode::kSocs) {
-      retry_sim = with_abbe(sim_);
-      retry_opts.sim_imaging = OpcImaging::kAbbe;
-      retry_opts.final_imaging = OpcImaging::kAbbe;
-    }
-    std::vector<ItemOutcome> outcomes(m);
-    std::vector<std::uint64_t> indices(m);
-    for (std::size_t k = 0; k < m; ++k) indices[k] = inst_of(k);
-    const std::vector<IndexedError> escaped = try_parallel_for(
-        threads(), m, /*chunk=*/1,
-        [&](std::size_t k) {
-          const std::size_t i = inst_of(k);
-          ItemOutcome& oc = outcomes[k];
-          const OpcMode mode = mode_for_instance(i);
-          Fingerprint jfp;
-          if (journal_) {
-            jfp = opc_record_fp(i, mode);
-            if (const JournalRecord* hit = journal_->find(jfp)) {
-              if (replay_window(*hit, i)) {
-                // Reconstruct the containment outcome so health() matches
-                // the uninterrupted run entry for entry.
-                oc.faulted = hit->outcome.faulted;
-                oc.first_error = FlowError{hit->outcome.code, i,
-                                           hit->outcome.origin,
-                                           hit->outcome.message};
-                oc.attempts = hit->outcome.attempts;
-                oc.recovered = hit->outcome.recovered;
-                oc.degraded = hit->outcome.degraded;
-                return;
-              }
-            }
-          }
-          fault::Scope scope(fault::Domain::kOpc, i);
-          const std::size_t max_attempts = 1 + rec.max_retries;
-          for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-            try {
-              fault::maybe_throw(fault::Kind::kAlloc);
-              OpcWindowResult r =
-                  attempt == 0
-                      ? opc_window(i, mode)
-                      : opc_window_impl(i, mode, retry_sim,
-                                        retry_opts, /*use_cache=*/false);
-              masks_[i] = std::move(r.mask);
-              per_window[i] = r.stats;
-              oc.attempts = attempt + 1;
-              oc.recovered = attempt > 0;
-              if (journal_) {
-                journal_window(jfp, i,
-                               JournalOutcome{oc.faulted, oc.first_error.code,
-                                              oc.first_error.origin,
-                                              oc.first_error.message,
-                                              static_cast<std::uint32_t>(
-                                                  oc.attempts),
-                                              oc.recovered, false});
-              }
-              return;
-            } catch (...) {
-              if (!oc.faulted) {
-                oc.faulted = true;
-                oc.first_error = capture_flow_error(i, "flow.opc");
-              }
-              oc.attempts = attempt + 1;
-            }
-          }
-          // Degrade: keep the run alive on the drawn (uncorrected) mask and
-          // flag the instance so its gates fall back to drawn-CD timing
-          // instead of extracting CDs from a silently-uncorrected mask.
-          oc.degraded = true;
-          try {
-            masks_[i] = drawn_mask_for_instance(i);
-          } catch (...) {
-            masks_[i].clear();
-          }
-          per_window[i] = {};
-          per_window[i].windows = 1;
-          opc_degraded_[i] = 1;
-          if (journal_) {
-            journal_window(jfp, i,
-                           JournalOutcome{oc.faulted, oc.first_error.code,
-                                          oc.first_error.origin,
-                                          oc.first_error.message,
-                                          static_cast<std::uint32_t>(
-                                              oc.attempts),
-                                          false, true});
-          }
-        },
-        "flow.opc", cancel);
-    // The containment above absorbs everything, so try_parallel_for only
-    // reports bugs in the degrade path itself — still fold them in rather
-    // than lose them.
-    for (const IndexedError& e : escaped) {
-      outcomes[e.index].faulted = true;
-      outcomes[e.index].degraded = true;
-      outcomes[e.index].first_error = e.error;
-      opc_degraded_[inst_of(e.index)] = 1;
-    }
-    record_outcomes("opc", outcomes, indices);
+  // The retry: sign-off quality for the draft iterations, on the Abbe
+  // reference engine when the nominal path runs SOCS.
+  OpcOptions retry_opc = options_.opc;
+  retry_opc.sim_quality = retry_opc.final_quality;
+  if (sim_.imaging().mode == ImagingMode::kSocs) {
+    retry_opc.sim_imaging = OpcImaging::kAbbe;
+    retry_opc.final_imaging = OpcImaging::kAbbe;
   }
+  const LithoSimulator retry = retry_sim(sim_);
+  run_windows({
+      .name = "opc",
+      .journal_phase = JournalPhase::kOpc,
+      .domain = fault::Domain::kOpc,
+      .ids = ids,
+      .record_fp =
+          [&](std::size_t k) {
+            return opc_record_fp(ids[k], mode_for_instance(ids[k]));
+          },
+      .encode =
+          [&](std::size_t k) {
+            return encode_opc_payload(masks_[ids[k]], per_window[ids[k]],
+                                      opc_degraded_[ids[k]] != 0);
+          },
+      .decode =
+          [&](std::size_t k, const std::vector<std::uint8_t>& bytes) {
+            bool degraded = false;
+            if (!decode_opc_payload(bytes, masks_[ids[k]], per_window[ids[k]],
+                                    degraded)) {
+              return false;
+            }
+            opc_degraded_[ids[k]] = degraded ? 1 : 0;
+            return true;
+          },
+      .compute =
+          [&](std::size_t k, std::size_t attempt) {
+            const std::size_t i = ids[k];
+            const bool nominal = attempt == 0;
+            OpcWindowResult r = opc_window(
+                i, mode_for_instance(i), nominal ? sim_ : retry,
+                nominal ? options_.opc : retry_opc, /*use_cache=*/nominal);
+            masks_[i] = std::move(r.mask);
+            per_window[i] = r.stats;
+          },
+      // Keep the run alive on the drawn (uncorrected) mask, and flag the
+      // instance so its gates fall back to drawn-CD timing instead of
+      // extracting CDs from a silently-uncorrected mask.
+      .fallback =
+          [&](std::size_t k) {
+            const std::size_t i = ids[k];
+            try {
+              masks_[i] = polys_to_mask(instance_window(i).targets);
+            } catch (...) {
+              masks_[i].clear();
+            }
+            per_window[i] = {};
+            per_window[i].windows = 1;
+          },
+      .mark_degraded = [&](std::size_t k) { opc_degraded_[ids[k]] = 1; },
+  });
   opc_stats_ = {};
   for (const OpcStats& w : per_window) opc_stats_ = merge_stats(opc_stats_, w);
   if (caches_) log_cache("OPC window", caches_->opc.counters());
@@ -1143,166 +1130,64 @@ GateExtraction PostOpcFlow::extract_gate(GateIdx gate,
   return ext;
 }
 
-namespace {
-
-std::vector<GateIdx> all_or_subset(
-    const Netlist& nl, const std::optional<std::vector<GateIdx>>& subset) {
-  if (subset) return *subset;
-  std::vector<GateIdx> gates(nl.num_gates());
-  for (GateIdx g = 0; g < gates.size(); ++g) gates[g] = g;
-  return gates;
-}
-
-}  // namespace
-
 std::vector<GateExtraction> PostOpcFlow::extract_impl(
     const LithoSimulator& sim, const Exposure& exposure,
     const std::optional<std::vector<GateIdx>>& subset) const {
   POC_EXPECTS(!masks_.empty());  // run_opc first
-  const std::vector<GateIdx> gates = all_or_subset(design_->netlist, subset);
+  const std::vector<std::uint64_t> gates =
+      subset ? std::vector<std::uint64_t>(subset->begin(), subset->end())
+             : window_ids(design_->netlist.num_gates());
   // Per-gate silicon/model litho simulation + CD extraction is the flow's
-  // dominant cost; every gate is independent and writes its own slot.
+  // dominant cost; every gate is independent and writes its own slot.  The
+  // slot keeps its gate id whatever happens: an empty-device record is
+  // exactly the existing "gate without extraction" path in annotate
+  // (drawn-CD timing), and it still consumes its ACLV noise draw so every
+  // other gate's offset is unchanged.
   std::vector<GateExtraction> out(gates.size());
-  const CancelToken* cancel = cancel_token();
-
-  struct JournalFlusher {
-    RunJournal* j;
-    ~JournalFlusher() {
-      if (j != nullptr) j->flush();
-    }
-  } flusher{journal_.get()};
-  const auto journal_gate = [&](const Fingerprint& fp, GateIdx g,
-                                const GateExtraction& ext,
-                                const JournalOutcome& outcome) {
-    JournalRecord rec;
-    rec.phase = JournalPhase::kExtract;
-    rec.index = g;
-    rec.fp = fp;
-    rec.outcome = outcome;
-    rec.payload = encode_extract_payload(ext);
-    journal_->append(std::move(rec));
-  };
-  const RecoveryOptions& rec = options_.recovery;
-  if (!rec.enabled) {
-    parallel_for(threads(), gates.size(), /*chunk=*/1, [&](std::size_t k) {
-      const GateIdx g = gates[k];
-      Fingerprint jfp;
-      if (journal_) {
-        jfp = extract_record_fp(sim, exposure, g);
-        if (const JournalRecord* hit = journal_->find(jfp)) {
-          if (decode_extract_payload(hit->payload, out[k])) return;
-        }
-      }
-      fault::Scope scope(fault::Domain::kExtract, g);
-      fault::maybe_throw(fault::Kind::kAlloc);
-      const std::size_t instance = design_->gate_to_instance[g];
-      const Rect window = design_->litho_window(g, options_.ambit_nm);
-      const WindowLatent latent = latent_for_window(
-          sim, mask_for_instance(instance), window, exposure,
-          options_.extract_quality, /*use_cache=*/true);
-      out[k] = extract_gate(g, latent.view, sim.print_threshold());
-      if (journal_) journal_gate(jfp, g, out[k], JournalOutcome{});
-    }, cancel);
-  } else {
-    const LithoSimulator retry_sim =
-        rec.fallback_to_abbe && sim.imaging().mode == ImagingMode::kSocs
-            ? with_abbe(sim)
-            : sim;
-    const LithoQuality retry_quality =
-        rec.escalate_quality ? kEscalatedQuality : options_.extract_quality;
-    std::vector<ItemOutcome> outcomes(gates.size());
-    std::vector<std::uint64_t> indices(gates.size());
-    for (std::size_t k = 0; k < gates.size(); ++k) indices[k] = gates[k];
-    const std::vector<IndexedError> escaped = try_parallel_for(
-        threads(), gates.size(), /*chunk=*/1,
-        [&](std::size_t k) {
-          const GateIdx g = gates[k];
-          // The slot keeps its gate id whatever happens below: an empty-
-          // device record is exactly the existing "gate without extraction"
-          // path in annotate (drawn-CD timing), and it still consumes its
-          // ACLV noise draw so every other gate's offset is unchanged.
-          out[k].gate = g;
-          const std::size_t instance = design_->gate_to_instance[g];
-          if (opc_degraded_[instance]) {
-            // The instance's OPC window already degraded; its drawn-mask
-            // fallback must not feed CDs into STA.  Cheap enough that it is
-            // recomputed on resume rather than journaled.
-            record_degraded_gate(g);
-            return;
-          }
-          ItemOutcome& oc = outcomes[k];
-          Fingerprint jfp;
-          if (journal_) {
-            jfp = extract_record_fp(sim, exposure, g);
-            if (const JournalRecord* hit = journal_->find(jfp)) {
-              if (decode_extract_payload(hit->payload, out[k])) {
-                oc.faulted = hit->outcome.faulted;
-                oc.first_error = FlowError{hit->outcome.code, g,
-                                           hit->outcome.origin,
-                                           hit->outcome.message};
-                oc.attempts = hit->outcome.attempts;
-                oc.recovered = hit->outcome.recovered;
-                oc.degraded = hit->outcome.degraded;
-                if (oc.degraded) record_degraded_gate(g);
-                return;
-              }
+  for (std::size_t k = 0; k < gates.size(); ++k) out[k].gate = gates[k];
+  // The retry: sign-off quality, on the Abbe reference engine when the
+  // nominal path runs SOCS.
+  const LithoSimulator retry = retry_sim(sim);
+  run_windows({
+      .name = "extract",
+      .journal_phase = JournalPhase::kExtract,
+      .domain = fault::Domain::kExtract,
+      .ids = gates,
+      // The instance's OPC window already degraded; its drawn-mask fallback
+      // must not feed CDs into STA.  Cheap enough that it is re-derived on
+      // resume rather than journaled.
+      .skip =
+          [&](std::size_t k) {
+            if (!opc_degraded_[design_->gate_to_instance[gates[k]]]) {
+              return false;
             }
-          }
-          fault::Scope scope(fault::Domain::kExtract, g);
-          const Rect window = design_->litho_window(g, options_.ambit_nm);
-          const std::size_t max_attempts = 1 + rec.max_retries;
-          for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-            const LithoSimulator& s = attempt == 0 ? sim : retry_sim;
-            const LithoQuality q =
-                attempt == 0 ? options_.extract_quality : retry_quality;
-            try {
-              fault::maybe_throw(fault::Kind::kAlloc);
-              const WindowLatent latent =
-                  latent_for_window(s, mask_for_instance(instance), window,
-                                    exposure, q, /*use_cache=*/attempt == 0);
-              out[k] = extract_gate(g, latent.view, s.print_threshold());
-              oc.attempts = attempt + 1;
-              oc.recovered = attempt > 0;
-              if (journal_) {
-                journal_gate(jfp, g, out[k],
-                             JournalOutcome{oc.faulted, oc.first_error.code,
-                                            oc.first_error.origin,
-                                            oc.first_error.message,
-                                            static_cast<std::uint32_t>(
-                                                oc.attempts),
-                                            oc.recovered, false});
-              }
-              return;
-            } catch (...) {
-              if (!oc.faulted) {
-                oc.faulted = true;
-                oc.first_error = capture_flow_error(g, "flow.extract");
-              }
-              oc.attempts = attempt + 1;
-            }
-          }
-          oc.degraded = true;
-          out[k].devices.clear();
-          record_degraded_gate(g);
-          if (journal_) {
-            journal_gate(jfp, g, out[k],
-                         JournalOutcome{oc.faulted, oc.first_error.code,
-                                        oc.first_error.origin,
-                                        oc.first_error.message,
-                                        static_cast<std::uint32_t>(
-                                            oc.attempts),
-                                        false, true});
-          }
-        },
-        "flow.extract", cancel);
-    for (const IndexedError& e : escaped) {
-      outcomes[e.index].faulted = true;
-      outcomes[e.index].degraded = true;
-      outcomes[e.index].first_error = e.error;
-      record_degraded_gate(gates[e.index]);
-    }
-    record_outcomes("extract", outcomes, indices);
-  }
+            record_degraded_gate(gates[k]);
+            return true;
+          },
+      .record_fp =
+          [&](std::size_t k) {
+            return extract_record_fp(sim, exposure, gates[k]);
+          },
+      .encode = [&](std::size_t k) { return encode_extract_payload(out[k]); },
+      .decode =
+          [&](std::size_t k, const std::vector<std::uint8_t>& bytes) {
+            return decode_extract_payload(bytes, out[k]);
+          },
+      .compute =
+          [&](std::size_t k, std::size_t attempt) {
+            const GateIdx g = gates[k];
+            const bool nominal = attempt == 0;
+            const LithoSimulator& s = nominal ? sim : retry;
+            const WindowLatent latent = latent_for_window(
+                s, mask_for_instance(design_->gate_to_instance[g]),
+                design_->litho_window(g, options_.ambit_nm), exposure,
+                nominal ? options_.extract_quality : kEscalatedQuality,
+                /*use_cache=*/nominal);
+            out[k] = extract_gate(g, latent.view, s.print_threshold());
+          },
+      .fallback = [&](std::size_t k) { out[k].devices.clear(); },
+      .mark_degraded = [&](std::size_t k) { record_degraded_gate(gates[k]); },
+  });
   if (caches_) {
     const CacheCounters c = caches_->latent.counters();
     log_debug("latent cache: ", c.hits, " hits / ", c.misses, " misses (",
@@ -1486,12 +1371,7 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
   const auto scan_window = [&](std::size_t i, bool use_cache) {
     HotspotReport partial;
     const bool cache_window = caches_ != nullptr && use_cache;
-    const Instance& inst = design_->layout.instance(i);
-    const Rect window =
-        inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-            .inflated(options_.ambit_nm);
-    const std::vector<Polygon> targets =
-        design_->layout.flatten_layer_polys(window, Layer::kPoly);
+    const auto [window, targets] = instance_window(i);
     if (targets.empty()) return partial;
     ++partial.windows_checked;
     const Point anchor{window.xlo, window.ylo};
@@ -1558,111 +1438,31 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
   };
 
   std::vector<HotspotReport> slots(n);
-  const CancelToken* cancel = cancel_token();
-  struct JournalFlusher {
-    RunJournal* j;
-    ~JournalFlusher() {
-      if (j != nullptr) j->flush();
-    }
-  } flusher{journal_.get()};
-  const auto journal_scan = [&](const Fingerprint& fp, std::size_t i,
-                                const JournalOutcome& outcome) {
-    JournalRecord rec;
-    rec.phase = JournalPhase::kScan;
-    rec.index = i;
-    rec.fp = fp;
-    rec.outcome = outcome;
-    rec.payload = encode_scan_payload(slots[i]);
-    journal_->append(std::move(rec));
-  };
-  const RecoveryOptions& rec = options_.recovery;
-  if (!rec.enabled) {
-    parallel_for(threads(), n, /*chunk=*/1, [&](std::size_t i) {
-      Fingerprint jfp;
-      if (journal_) {
-        jfp = scan_record_fp(i, conditions, orc_options);
-        if (const JournalRecord* hit = journal_->find(jfp)) {
-          if (decode_scan_payload(hit->payload, slots[i])) return;
-        }
-      }
-      fault::Scope scope(fault::Domain::kScan, i);
-      fault::maybe_throw(fault::Kind::kAlloc);
-      slots[i] = scan_window(i, true);
-      if (journal_) journal_scan(jfp, i, JournalOutcome{});
-    }, cancel);
-  } else {
-    std::vector<ItemOutcome> outcomes(n);
-    std::vector<std::uint64_t> indices(n);
-    for (std::size_t i = 0; i < n; ++i) indices[i] = i;
-    const std::vector<IndexedError> escaped = try_parallel_for(
-        threads(), n, /*chunk=*/1,
-        [&](std::size_t i) {
-          ItemOutcome& oc = outcomes[i];
-          Fingerprint jfp;
-          if (journal_) {
-            jfp = scan_record_fp(i, conditions, orc_options);
-            if (const JournalRecord* hit = journal_->find(jfp)) {
-              if (decode_scan_payload(hit->payload, slots[i])) {
-                oc.faulted = hit->outcome.faulted;
-                oc.first_error = FlowError{hit->outcome.code, i,
-                                           hit->outcome.origin,
-                                           hit->outcome.message};
-                oc.attempts = hit->outcome.attempts;
-                oc.recovered = hit->outcome.recovered;
-                oc.degraded = hit->outcome.degraded;
-                return;
-              }
-            }
-          }
-          fault::Scope scope(fault::Domain::kScan, i);
-          const std::size_t max_attempts = 1 + rec.max_retries;
-          for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-            try {
-              fault::maybe_throw(fault::Kind::kAlloc);
-              slots[i] = scan_window(i, /*use_cache=*/attempt == 0);
-              oc.attempts = attempt + 1;
-              oc.recovered = attempt > 0;
-              if (journal_) {
-                journal_scan(jfp, i,
-                             JournalOutcome{oc.faulted, oc.first_error.code,
-                                            oc.first_error.origin,
-                                            oc.first_error.message,
-                                            static_cast<std::uint32_t>(
-                                                oc.attempts),
-                                            oc.recovered, false});
-              }
-              return;
-            } catch (...) {
-              if (!oc.faulted) {
-                oc.faulted = true;
-                oc.first_error = capture_flow_error(i, "flow.scan");
-              }
-              oc.attempts = attempt + 1;
-            }
-          }
-          // Degrade: the window's violations are dropped (conservative for
-          // timing, not for ORC — the fault record is the signal).
-          oc.degraded = true;
-          slots[i] = {};
-          if (journal_) {
-            journal_scan(jfp, i,
-                         JournalOutcome{oc.faulted, oc.first_error.code,
-                                        oc.first_error.origin,
-                                        oc.first_error.message,
-                                        static_cast<std::uint32_t>(
-                                            oc.attempts),
-                                        false, true});
-          }
-        },
-        "flow.scan", cancel);
-    for (const IndexedError& e : escaped) {
-      outcomes[e.index].faulted = true;
-      outcomes[e.index].degraded = true;
-      outcomes[e.index].first_error = e.error;
-      slots[e.index] = {};
-    }
-    record_outcomes("scan", outcomes, indices);
-  }
+  // Degrade: the window's violations are dropped (conservative for timing,
+  // not for ORC — the fault record is the signal).
+  const auto drop = [&](std::size_t i) { slots[i] = {}; };
+  run_windows({
+      .name = "scan",
+      .journal_phase = JournalPhase::kScan,
+      .domain = fault::Domain::kScan,
+      .ids = window_ids(n),
+      .record_fp =
+          [&](std::size_t i) {
+            return scan_record_fp(i, conditions, orc_options);
+          },
+      .encode = [&](std::size_t i) { return encode_scan_payload(slots[i]); },
+      .decode =
+          [&](std::size_t i, const std::vector<std::uint8_t>& bytes) {
+            return decode_scan_payload(bytes, slots[i]);
+          },
+      // The retry reruns the window uncached, with unchanged settings.
+      .compute =
+          [&](std::size_t i, std::size_t attempt) {
+            slots[i] = scan_window(i, /*use_cache=*/attempt == 0);
+          },
+      .fallback = drop,
+      .mark_degraded = drop,
+  });
 
   HotspotReport report;
   for (HotspotReport& w : slots) {

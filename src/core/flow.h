@@ -90,24 +90,22 @@ struct CacheOptions {
 
 /// Per-window fault containment policy for the hot loops.  When enabled
 /// (the default), a window that throws — CheckError, bad_alloc, non-finite
-/// intensity, OPC non-convergence — is retried up to `max_retries` times
-/// with escalated settings, then degraded instead of aborting the run:
-/// an OPC window falls back to the drawn (uncorrected) mask, an extraction
-/// window falls back to the drawn-CD annotation for its gate, and a scan
-/// window is skipped.  Every fault, retry and degradation is recorded in
-/// FlowHealth.  Fault-free results are bit-identical with containment on
-/// or off; disabling restores fail-fast semantics (first error by window
-/// index is rethrown).
+/// intensity, OPC non-convergence — is retried once with escalated
+/// settings, then degraded instead of aborting the run.  The retry runs
+/// extraction at sign-off litho quality and OPC's draft iterations at the
+/// OPC final quality, on the Abbe reference engine when the window ran the
+/// SOCS fast path (the scan retries with unchanged settings), and it
+/// always bypasses the window caches, so an escalated result can never be
+/// served under the nominal fingerprint.  A window that still fails
+/// degrades: an OPC window falls back to the drawn (uncorrected) mask, an
+/// extraction window falls back to the drawn-CD annotation for its gate,
+/// and a scan window is skipped.  Every fault, retry and degradation is
+/// recorded in FlowHealth.  Fault-free results are bit-identical with
+/// containment on or off; disabling restores fail-fast semantics (one
+/// attempt per window, and the lowest-indexed window's original exception
+/// is rethrown).
 struct RecoveryOptions {
   bool enabled = true;
-  std::size_t max_retries = 1;
-  /// Retry with sign-off litho quality instead of the nominal (draft /
-  /// standard) setting.  Retries always bypass the window caches, so an
-  /// escalated result can never be served under the nominal fingerprint.
-  bool escalate_quality = true;
-  /// Retry with the Abbe reference imaging engine when the faulting window
-  /// was running the SOCS fast path.
-  bool fallback_to_abbe = true;
 };
 
 /// Containment outcome of one run: which windows faulted, what happened to
@@ -387,6 +385,13 @@ class PostOpcFlow {
   struct WindowCaches;
 
  private:
+  /// An instance's litho window (cell boundary plus the optical ambit) and
+  /// the drawn poly inside it: the OPC targets.
+  struct InstanceWindow {
+    Rect window;
+    std::vector<Polygon> targets;
+  };
+  InstanceWindow instance_window(std::size_t instance) const;
   /// One instance's OPC window, computed without touching shared state so
   /// windows can run concurrently; run_opc merges the stats in instance
   /// order.
@@ -394,17 +399,13 @@ class PostOpcFlow {
     std::vector<Rect> mask;
     OpcStats stats;
   };
-  OpcWindowResult opc_window(std::size_t instance, OpcMode mode) const;
-  /// opc_window with explicit simulator/options (the escalated-retry path)
-  /// and cache control — retries must bypass the cache so a result produced
-  /// under non-nominal settings is never stored under the nominal key.
-  OpcWindowResult opc_window_impl(std::size_t instance, OpcMode mode,
-                                  const LithoSimulator& sim,
-                                  const OpcOptions& opc_options,
-                                  bool use_cache) const;
-  /// Drawn (uncorrected) mask for one instance window: the degradation
-  /// fallback when every OPC attempt faulted.
-  std::vector<Rect> drawn_mask_for_instance(std::size_t instance) const;
+  /// The simulator and options are explicit because the retry escalates
+  /// both, and `use_cache` is false on the retry: a result produced under
+  /// non-nominal settings must never be stored under the nominal key.
+  OpcWindowResult opc_window(std::size_t instance, OpcMode mode,
+                             const LithoSimulator& sim,
+                             const OpcOptions& opc_options,
+                             bool use_cache) const;
   /// `subset`, when non-null, restricts the loop to those instance indices
   /// (ascending); masks_/opc_degraded_ stay design-sized either way.
   void run_opc_windows(
@@ -430,24 +431,14 @@ class PostOpcFlow {
                                  const Rect& window, const Exposure& exposure,
                                  LithoQuality quality, bool use_cache) const;
 
-  /// Per-window containment bookkeeping shared by the three hot loops.
-  /// Outcomes land in pre-sized slots and are merged into health_ in window
-  /// index order by record_outcomes() on the calling thread.
-  struct ItemOutcome {
-    bool faulted = false;    ///< at least one attempt threw
-    FlowError first_error;   ///< the first attempt's failure
-    std::size_t attempts = 1;
-    bool recovered = false;
-    bool degraded = false;
-  };
-  void record_outcomes(const char* phase,
-                       const std::vector<ItemOutcome>& outcomes,
-                       const std::vector<std::uint64_t>& indices) const;
+  /// One window-shaped hot loop — OPC, extraction or the hotspot scan —
+  /// as the phase describes it, and the one driver all three run through:
+  /// journal replay and append, the attempt loop, degradation and the
+  /// health bookkeeping (see flow.cpp).
+  struct WindowPhase;
+  void run_windows(const WindowPhase& phase) const;
   void record_degraded_gate(GateIdx gate) const;
 
-  /// Effective cancellation token for the hot loops (options().cancel, or
-  /// the process-global token when unset and journaling wants one).
-  const CancelToken* cancel_token() const;
   /// Per-window journal record identities.  Each covers everything the
   /// window's result depends on (and its index), so a replayed record is
   /// bit-equal to a recompute or it does not match at all.

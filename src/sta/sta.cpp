@@ -14,22 +14,6 @@ std::string TimingPath::signature(const Netlist& nl) const {
   return os.str();
 }
 
-Ff sta_net_load(const Netlist& nl, const StdCellLibrary& lib,
-                const std::vector<NetParasitics>& parasitics, NetIdx net,
-                const StaOptions& options) {
-  const Net& n = nl.net(net);
-  Ff load = 0.0;
-  if (!parasitics.empty()) load += parasitics[net].wire_cap;
-  for (const auto& [sink_gate, pin] : n.sinks) {
-    load += lib.timing(nl.gate(sink_gate).cell).input_caps[pin];
-  }
-  if (n.is_primary_output) load += options.po_load_ff;
-  if (n.driver != kNoIndex) {
-    load += lib.timing(nl.gate(n.driver).cell).output_self_cap;
-  }
-  return load;
-}
-
 Ps sta_sink_wire_delay(const std::vector<NetParasitics>& parasitics,
                        NetIdx net, std::size_t sink_ordinal) {
   if (parasitics.empty()) return 0.0;
@@ -61,14 +45,6 @@ void StaEngine::set_annotations(std::vector<DelayAnnotation> annotations) {
 }
 
 void StaEngine::clear_annotations() { annotations_.clear(); }
-
-Ff StaEngine::net_load(NetIdx net, const StaOptions& options) const {
-  return sta_net_load(*nl_, *lib_, parasitics_, net, options);
-}
-
-Ps StaEngine::sink_wire_delay(NetIdx net, std::size_t sink_ordinal) const {
-  return sta_sink_wire_delay(parasitics_, net, sink_ordinal);
-}
 
 StaReport StaEngine::run(const StaOptions& options) const {
   // A fresh graph per call keeps this entry point stateless (the

@@ -88,13 +88,6 @@ struct NodeTime {
   bool valid = false;
 };
 
-/// Effective capacitive load on a net's driver (wire + pins + self + PO).
-/// The one summation both engines and the path enumerator share — the
-/// addition order is part of the bit-identity contract.
-Ff sta_net_load(const Netlist& nl, const StdCellLibrary& lib,
-                const std::vector<NetParasitics>& parasitics, NetIdx net,
-                const StaOptions& options);
-
 /// Elmore wire delay from a net's driver to its k-th sink (0 without
 /// parasitics).
 Ps sta_sink_wire_delay(const std::vector<NetParasitics>& parasitics,
@@ -125,12 +118,6 @@ class StaEngine {
   std::vector<GateIdx> critical_gates(const StaOptions& options,
                                       Ps window) const;
 
-  /// Effective capacitive load on a net's driver (wire + pins + self + PO).
-  Ff net_load(NetIdx net, const StaOptions& options) const;
-
-  /// Elmore wire delay from a net's driver to its k-th sink.
-  Ps sink_wire_delay(NetIdx net, std::size_t sink_ordinal) const;
-
   /// PERI-style slew degradation across a wire: the sink sees the driver's
   /// transition RMS-combined with the wire's own step response.
   static Ps degraded_slew(Ps driver_slew, Ps wire_elmore_ps) {
@@ -142,9 +129,6 @@ class StaEngine {
     return annotations_;
   }
   const std::vector<NetParasitics>& parasitics() const { return parasitics_; }
-
-  /// Deprecated nested alias; the node type now lives at namespace scope.
-  using NodeTime = poc::NodeTime;
 
  private:
   const Netlist* nl_;

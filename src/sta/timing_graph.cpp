@@ -124,9 +124,20 @@ void TimingGraph::rebuild_parasitic_tables() {
           para, gate.inputs[pin], ordinal_[pin_offset_[g] + pin]);
     }
   }
+  // Effective load on each net's driver.  The addition order — wire cap,
+  // sink pins in Net::sinks order, PO load, driver self-cap — is part of
+  // the bit-identity contract.
   load_.assign(nl_->num_nets(), 0.0);
   for (NetIdx n = 0; n < nl_->num_nets(); ++n) {
-    load_[n] = sta_net_load(*nl_, *lib_, para, n, options_);
+    const Net& net = nl_->net(n);
+    Ff load = 0.0;
+    if (!para.empty()) load += para[n].wire_cap;
+    for (const auto& [sink_gate, pin] : net.sinks) {
+      load += timing_[sink_gate]->input_caps[pin];
+    }
+    if (net.is_primary_output) load += options_.po_load_ff;
+    if (net.driver != kNoIndex) load += timing_[net.driver]->output_self_cap;
+    load_[n] = load;
   }
 }
 

@@ -231,24 +231,6 @@ TEST(ShardedCacheDisk, SpillsOnInsertAndServesAFreshInstance) {
   EXPECT_EQ(b.counters().misses, 1u);
 }
 
-TEST(ShardedCacheDisk, PeekPromotesFromDiskWithoutCounters) {
-  CacheTempDir dir("poc_cache_disk_peek");
-  const auto store = std::make_shared<DiskCacheStore>(dir.path.string());
-  {
-    ShardedCache<int> seed(1 << 12, 1);
-    seed.attach_disk(store, encode_int, decode_int);
-    seed.insert(key(9), std::make_shared<int>(99), 8);
-  }
-  ShardedCache<int> cache(1 << 12, 1);
-  cache.attach_disk(store, encode_int, decode_int);
-  const auto peeked = cache.peek(key(9));
-  ASSERT_NE(peeked, nullptr);
-  EXPECT_EQ(*peeked, 99);
-  const CacheCounters c = cache.counters();
-  EXPECT_EQ(c.hits + c.disk_hits + c.misses, 0u)
-      << "peek must not perturb lookup counters";
-}
-
 TEST(ShardedCacheDisk, CounterIdentityIsExactUnderConcurrentLookups) {
   // The satellite contract: with the disk tier attached, every find()
   // increments exactly one of hits / disk_hits / misses, so under any
@@ -511,29 +493,6 @@ TEST(CacheFlowFaults, EscalatedRetryNeverPoisonsNominalFingerprints) {
   // equal the cache-off fault-free reference on every gate — including
   // gate 2, whose recovered-run result came from the escalated settings.
   expect_same_extraction(cached.extract({}), reference.extract({}));
-}
-
-TEST(ShardedCache, PeekNeitherCountsNorTouchesLru) {
-  // peek() must see exactly what find() would, without perturbing any
-  // observable — counters or eviction order.
-  ShardedCache<int> cache(1 << 12);
-  cache.insert(key(1), std::make_shared<int>(1), 1);
-  EXPECT_NE(cache.peek(key(1)), nullptr);
-  EXPECT_EQ(cache.peek(key(2)), nullptr);
-  const CacheCounters c = cache.counters();
-  EXPECT_EQ(c.hits, 0u);
-  EXPECT_EQ(c.misses, 0u);
-
-  // LRU check: with capacity for 3 cost-1 entries, peeking entry 1 (unlike
-  // finding it) must NOT protect it from being the eviction victim.
-  ShardedCache<int> lru(3, /*shards=*/1);
-  lru.insert(key(1), std::make_shared<int>(1), 1);
-  lru.insert(key(2), std::make_shared<int>(2), 1);
-  lru.insert(key(3), std::make_shared<int>(3), 1);
-  EXPECT_NE(lru.peek(key(1)), nullptr);
-  lru.insert(key(4), std::make_shared<int>(4), 1);
-  EXPECT_EQ(lru.find(key(1)), nullptr) << "peek must not refresh LRU";
-  EXPECT_NE(lru.find(key(4)), nullptr);
 }
 
 TEST(CacheFlowSocs, SocsFlowBitIdenticalCacheOnOffAndThreaded) {

@@ -592,6 +592,70 @@ TEST_F(FaultFlowFixture, DisabledRecoveryRestoresFailFast) {
   EXPECT_THROW(flow.extract({}), std::bad_alloc);
 }
 
+TEST_F(FaultFlowFixture, FailFastRethrowsLowestWindowErrorInEveryPhase) {
+  // Fail-fast in all three hot loops: two windows fault with different
+  // exception types, and the loop rethrows the lower window's original
+  // exception — not a captured FlowError — whichever window holds which
+  // fault and at any thread count.
+  struct Case {
+    const char* phase;
+    fault::Domain domain;
+    fault::Kind other;        ///< the fault that is not kAlloc
+    FaultCode other_code;     ///< what `other` raises
+    std::uint64_t lo, hi;     ///< the two faulted windows
+  };
+  // OPC last: a failed run_opc leaves the two faulted windows' masks
+  // empty, and extraction and the scan read the masks.
+  const Case cases[] = {
+      {"extract", fault::Domain::kExtract, fault::Kind::kNanPixel,
+       FaultCode::kNonFinite, 2, 5},
+      {"scan", fault::Domain::kScan, fault::Kind::kNanPixel,
+       FaultCode::kNonFinite, 1, 4},
+      {"opc", fault::Domain::kOpc, fault::Kind::kConvergenceStall,
+       FaultCode::kNonConvergence, 1, 3},
+  };
+  const std::vector<ProcessCorner> corners = {{"nominal", {0.0, 1.0}}};
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    FlowOptions opts = fault_flow_options(threads);
+    opts.recovery.enabled = false;
+    PostOpcFlow flow(design(), lib(), LithoSimulator{}, opts);
+    flow.run_opc(OpcMode::kModelBased);  // no plan yet: a clean OPC
+    for (const Case& c : cases) {
+      for (const bool alloc_low : {true, false}) {
+        const fault::Kind low_kind = alloc_low ? fault::Kind::kAlloc : c.other;
+        const fault::Kind high_kind =
+            alloc_low ? c.other : fault::Kind::kAlloc;
+        fault::Config cfg;
+        cfg.enabled = true;
+        cfg.targets.push_back({low_kind, c.domain, c.lo});
+        cfg.targets.push_back({high_kind, c.domain, c.hi});
+        ScopedFault plan(cfg);
+        const std::string what = std::string(c.phase) + " threads=" +
+                                 std::to_string(threads) +
+                                 (alloc_low ? " alloc low" : " alloc high");
+        try {
+          if (c.domain == fault::Domain::kOpc) {
+            flow.run_opc(OpcMode::kModelBased);
+          } else if (c.domain == fault::Domain::kExtract) {
+            (void)flow.extract({});
+          } else {
+            (void)flow.scan_hotspots(corners);
+          }
+          ADD_FAILURE() << what << ": nothing was rethrown";
+        } catch (const std::bad_alloc&) {
+          EXPECT_EQ(low_kind, fault::Kind::kAlloc) << what;
+        } catch (const FlowException& e) {
+          EXPECT_EQ(low_kind, c.other) << what;
+          EXPECT_EQ(e.error().code, c.other_code) << what;
+        }
+        // Fail-fast records nothing: the exception is the report.
+        EXPECT_TRUE(flow.health().clean()) << what;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // I/O fault domains: wildcard targets + the vfs shim
 

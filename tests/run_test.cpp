@@ -621,6 +621,142 @@ TEST(FlowResume, HotspotScanReplaysFromJournal) {
   }
 }
 
+void expect_same_hotspots(const PostOpcFlow::HotspotReport& a,
+                          const PostOpcFlow::HotspotReport& b) {
+  EXPECT_EQ(a.windows_checked, b.windows_checked);
+  EXPECT_EQ(a.pinches, b.pinches);
+  EXPECT_EQ(a.bridges, b.bridges);
+  EXPECT_EQ(a.epe_violations, b.epe_violations);
+  ASSERT_EQ(a.hotspots.size(), b.hotspots.size());
+  for (std::size_t i = 0; i < a.hotspots.size(); ++i) {
+    EXPECT_EQ(a.hotspots[i].instance, b.hotspots[i].instance);
+    EXPECT_EQ(a.hotspots[i].exposure_name, b.hotspots[i].exposure_name);
+    EXPECT_EQ(a.hotspots[i].violation.kind, b.hotspots[i].violation.kind);
+    EXPECT_EQ(a.hotspots[i].violation.where, b.hotspots[i].violation.where);
+    EXPECT_EQ(a.hotspots[i].violation.value_nm,
+              b.hotspots[i].violation.value_nm);
+  }
+}
+
+TEST(FlowResume, ContainedFaultsReplayWithIdenticalHealth) {
+  // A journaled run whose windows faulted in all three phases — degraded
+  // and recovered alike — must resume from the journal alone: every window
+  // replays, and the replayed containment outcomes rebuild the same health
+  // report, entry for entry, at any thread count.
+  TempDir dir("poc_run_resume_contained");
+  const std::vector<ProcessCorner> corners = {{"nominal", {0.0, 1.0}}};
+  const std::size_t opc_victim = 0;
+  // Two gates whose instance's OPC did not degrade (those gates skip
+  // extraction): one recovers on its retry, one degrades.
+  const auto next_extracted_gate = [&](GateIdx g) {
+    while (design().gate_to_instance[g] == opc_victim) ++g;
+    return g;
+  };
+  const GateIdx extract_recovered = next_extracted_gate(0);
+  const GateIdx extract_degraded = next_extracted_gate(extract_recovered + 1);
+  const std::size_t scan_sticky = 1;
+  const std::size_t scan_transient = 2;
+
+  TimingComparison first_cmp;
+  FlowHealth first_health;
+  PostOpcFlow::HotspotReport first_scan;
+  {
+    PostOpcFlow flow(design(), lib(), LithoSimulator{},
+                     journaled_options(2, dir.path));
+    // Config::transient applies to a whole plan, so each phase installs
+    // its own.
+    fault::Config opc_plan;
+    opc_plan.enabled = true;
+    opc_plan.targets.push_back(
+        {fault::Kind::kConvergenceStall, fault::Domain::kOpc, opc_victim});
+    fault::configure(opc_plan);
+    flow.run_opc(OpcMode::kModelBased);
+
+    // Both faulted gates fail their first attempt; the degraded one also
+    // fails its retry, through a second kind that fires only there.  The
+    // scan plan below works the same way.
+    fault::Config extract_plan;
+    extract_plan.enabled = true;
+    extract_plan.transient = true;
+    extract_plan.targets.push_back(
+        {fault::Kind::kAlloc, fault::Domain::kExtract, extract_recovered});
+    extract_plan.targets.push_back(
+        {fault::Kind::kAlloc, fault::Domain::kExtract, extract_degraded});
+    extract_plan.targets.push_back(
+        {fault::Kind::kNanPixel, fault::Domain::kExtract, extract_degraded});
+    fault::configure(extract_plan);
+    first_cmp = flow.compare_timing({});
+
+    fault::Config scan_plan;
+    scan_plan.enabled = true;
+    scan_plan.transient = true;
+    scan_plan.targets.push_back(
+        {fault::Kind::kAlloc, fault::Domain::kScan, scan_sticky});
+    scan_plan.targets.push_back(
+        {fault::Kind::kNanPixel, fault::Domain::kScan, scan_sticky});
+    scan_plan.targets.push_back(
+        {fault::Kind::kAlloc, fault::Domain::kScan, scan_transient});
+    fault::configure(scan_plan);
+    first_scan = flow.scan_hotspots(corners);
+    fault::reset();
+    first_health = flow.health();
+  }
+
+  // The first run really exercised containment in every phase.
+  ASSERT_EQ(first_health.faults.size(), 5u);
+  const FlowHealth::WindowFault& opc = first_health.faults[0];
+  EXPECT_EQ(opc.phase, "opc");
+  EXPECT_EQ(opc.index, opc_victim);
+  EXPECT_EQ(opc.code, FaultCode::kNonConvergence);
+  EXPECT_TRUE(opc.degraded);
+  const std::uint64_t windows[] = {extract_recovered, extract_degraded,
+                                   scan_sticky, scan_transient};
+  for (std::size_t f = 1; f < 5; ++f) {
+    const FlowHealth::WindowFault& w = first_health.faults[f];
+    EXPECT_EQ(w.phase, f < 3 ? "extract" : "scan") << f;
+    EXPECT_EQ(w.index, windows[f - 1]) << f;
+    EXPECT_EQ(w.code, FaultCode::kAllocFailure) << f;
+    EXPECT_EQ(w.attempts, 2u) << f;
+    // Recovered, degraded, degraded, recovered.
+    EXPECT_EQ(w.degraded, f == 2 || f == 3) << f;
+    EXPECT_EQ(w.recovered, !w.degraded) << f;
+  }
+  std::vector<GateIdx> degraded_gates{extract_degraded};
+  for (GateIdx g = 0; g < design().netlist.num_gates(); ++g) {
+    if (design().gate_to_instance[g] == opc_victim) degraded_gates.push_back(g);
+  }
+  std::sort(degraded_gates.begin(), degraded_gates.end());
+  EXPECT_EQ(first_cmp.health.degraded_gates, degraded_gates);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    PostOpcFlow flow(design(), lib(), LithoSimulator{},
+                     journaled_options(threads, dir.path));
+    flow.run_opc(OpcMode::kModelBased);
+    const TimingComparison cmp = flow.compare_timing({});
+    const PostOpcFlow::HotspotReport scan = flow.scan_hotspots(corners);
+    EXPECT_EQ(flow.journal_stats().appended_records, 0u)
+        << "every window must replay at threads=" << threads;
+    EXPECT_EQ(flow.journal_stats().rejected_records, 0u);
+
+    const FlowHealth health = flow.health();
+    ASSERT_EQ(health.faults.size(), first_health.faults.size());
+    for (std::size_t f = 0; f < health.faults.size(); ++f) {
+      const FlowHealth::WindowFault& a = health.faults[f];
+      const FlowHealth::WindowFault& b = first_health.faults[f];
+      EXPECT_EQ(a.phase, b.phase) << f;
+      EXPECT_EQ(a.index, b.index) << f;
+      EXPECT_EQ(a.code, b.code) << f;
+      EXPECT_EQ(a.origin, b.origin) << f;
+      EXPECT_EQ(a.attempts, b.attempts) << f;
+      EXPECT_EQ(a.recovered, b.recovered) << f;
+      EXPECT_EQ(a.degraded, b.degraded) << f;
+    }
+    EXPECT_EQ(health.degraded_gates, first_health.degraded_gates);
+    expect_same_comparison(cmp, first_cmp);
+    expect_same_hotspots(scan, first_scan);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Flow-level rejection reporting (never silently skip)
 
