@@ -143,15 +143,15 @@ int main() {
     struct Config {
       const char* mode;
       ImagingMode flow_mode;
-      OpcImaging opc_draft;
+      ImagingMode opc_mode;
     };
-    // abbe: the reference engine everywhere.  socs_draft: OPC iterations
-    // draft with SOCS, sign-off iteration and extraction stay Abbe.
-    // socs_full: both flow simulators run SOCS end to end.
+    // abbe: the reference engine everywhere.  socs_opc (the default): OPC
+    // iterations image with SOCS, extraction stays Abbe.  socs_full: OPC
+    // and both flow simulators run SOCS end to end.
     const Config configs[] = {
-        {"abbe", ImagingMode::kAbbe, OpcImaging::kFollowSimulator},
-        {"socs_draft", ImagingMode::kAbbe, OpcImaging::kSocs},
-        {"socs_full", ImagingMode::kSocs, OpcImaging::kFollowSimulator},
+        {"abbe", ImagingMode::kAbbe, ImagingMode::kAbbe},
+        {"socs_opc", ImagingMode::kAbbe, ImagingMode::kSocs},
+        {"socs_full", ImagingMode::kSocs, ImagingMode::kSocs},
     };
     Table socs_table({"mode", "opc+extract wall (ms)", "speedup", "annot WS"});
     double abbe_ms = 0.0;
@@ -160,7 +160,7 @@ int main() {
       fopt.sta.max_paths = 16;
       fopt.cache.enabled = false;
       fopt.imaging.mode = c.flow_mode;
-      fopt.opc.sim_imaging = c.opc_draft;
+      fopt.opc.imaging = c.opc_mode;
       PostOpcFlow flow = bench::make_flow(design, 0.12, fopt);
       double annot_ws = 0.0;
       const double ms = bench::wall_ms([&] {
@@ -169,10 +169,7 @@ int main() {
         const auto ann = flow.annotate(ext);
         annot_ws = flow.run_sta(&ann).worst_slack;
       });
-      if (c.flow_mode == ImagingMode::kAbbe &&
-          c.opc_draft == OpcImaging::kFollowSimulator) {
-        abbe_ms = ms;
-      }
+      if (c.opc_mode == ImagingMode::kAbbe) abbe_ms = ms;
       socs_table.add_row({c.mode, Table::num(ms, 1),
                           Table::num(abbe_ms / ms, 2),
                           Table::num(annot_ws, 9)});

@@ -15,8 +15,8 @@
 //       coordinator salvages its private journal, recomputes the residual
 //       windows, and the final timing comparison is bit-identical to an
 //       undisturbed run (scripts/shard_smoke.sh asserts this).
-//   ./shard_worker --workers 2 --stall-worker 1 --stall-after 5 \
-//       --watchdog-timeout-ms 1500
+//   ./shard_worker --workers 2 --stall-worker 1 --stall-after 5
+//                  --watchdog-timeout-ms 1500
 //       worker 1 hangs after 5 journaled windows; the coordinator's
 //       watchdog detects the silent heartbeat channel, SIGKILLs the
 //       worker, respawns it (it resumes from its sealed journal), and the

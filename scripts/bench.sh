@@ -10,7 +10,7 @@
 #                     per quality (the >= 2x acceptance number at q = 3)
 #   - cache_bench / cache_speedup: PR2 carry-forward rows from the
 #                     greppable CACHE_BENCH lines
-#   - socs_e2e:       SOCS_BENCH rows (abbe / socs_draft / socs_full wall
+#   - socs_e2e:       SOCS_BENCH rows (abbe / socs_opc / socs_full wall
 #                     time + annotated WS) with computed speedups
 #   - socs_t2:        the T2 headline (WS change %, spearman, top-10
 #                     displacement) reproduced under full SOCS
@@ -333,7 +333,7 @@ T2_LOG=$(mktemp)
 ./build/bench/bench_t2_timing_comparison | tee "$T2_LOG"
 
 # CACHE_BENCH name=<n> cache=<on|off> wall_ms=<ms> hit_rate=<0..1>
-# SOCS_BENCH  name=<n> mode=<abbe|socs_draft|socs_full> wall_ms=<ms> ws=<ps>
+# SOCS_BENCH  name=<n> mode=<abbe|socs_opc|socs_full> wall_ms=<ms> ws=<ps>
 # SOCS_T2     design=<d> ws_change_pct=<pct> spearman=<r> top10_displaced=<n>
 # FAULT_BENCH name=<n> containment=<on|off> wall_ms=<ms> ws=<ps>
 # JOURNAL_BENCH name=<n> journal=<off|on|resume> wall_ms=<ms> ws=<ps> replayed=<k>
@@ -394,10 +394,10 @@ awk '
     printf "{\n  \"cache_bench\": [\n%s\n  ],\n", crows
     if (cms["off"] > 0 && cms["on"] > 0)
       printf "  \"cache_speedup\": %.3f,\n", cms["off"] / cms["on"]
-    srows = srow["abbe"] ",\n" srow["socs_draft"] ",\n" srow["socs_full"]
+    srows = srow["abbe"] ",\n" srow["socs_opc"] ",\n" srow["socs_full"]
     printf "  \"socs_e2e\": [\n%s\n  ],\n", srows
     if (sms["abbe"] > 0) {
-      printf "  \"socs_e2e_draft_speedup\": %.3f,\n", sms["abbe"] / sms["socs_draft"]
+      printf "  \"socs_e2e_opc_speedup\": %.3f,\n", sms["abbe"] / sms["socs_opc"]
       printf "  \"socs_e2e_full_speedup\": %.3f,\n", sms["abbe"] / sms["socs_full"]
     }
     if (frows != "") {

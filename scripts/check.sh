@@ -39,9 +39,10 @@ cmake --build build-tsan -j "$JOBS" --target par_test fault_test run_test cache_
 ./build-tsan/tests/cache_test
 ./build-tsan/tests/socs_test
 ./build-tsan/tests/core_test
-# Determinism at 1 and 4 threads under Abbe, draft-SOCS and full-SOCS
-# imaging: the per-thread scratch arenas and the process-wide kernel,
-# pupil and twiddle memos must be race-free.
+# Determinism at 1 and 4 threads under the abbe, socs_opc (SOCS OPC, Abbe
+# extraction: the default) and socs_full schedules: the per-thread scratch
+# arenas and the process-wide kernel, pupil and twiddle memos must be
+# race-free.
 ./build-tsan/tests/determinism_test --gtest_filter='DeterminismEngines*'
 # The incremental-STA equivalence fuzz harness: its 4-thread legs drive the
 # TimingGraph per-level parallel evaluation, so TSan checks the disjoint-

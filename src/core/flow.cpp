@@ -86,8 +86,7 @@ void hash_opc_options(FpHasher& h, const OpcOptions& o) {
       .u64(static_cast<std::uint64_t>(o.final_quality))
       .f64(o.handoff_epe_nm)
       .u64(o.final_iterations)
-      .u64(static_cast<std::uint64_t>(o.sim_imaging))
-      .u64(static_cast<std::uint64_t>(o.final_imaging))
+      .u64(static_cast<std::uint64_t>(o.imaging))
       .u64(o.insert_srafs ? 1 : 0)
       .f64(o.abort_epe_nm);
 }
@@ -108,7 +107,8 @@ void log_cache(const char* what, const CacheCounters& c) {
 
 // The fixed retry policy (see RecoveryOptions): a contained window gets the
 // nominal attempt plus one retry, which runs at the sign-off quality tier
-// and on the Abbe reference engine instead of SOCS.
+// and on the Abbe reference engine: OPC's retry always, extraction's
+// (retry_sim) instead of SOCS when the flow runs SOCS.
 
 constexpr std::uint32_t kContainedAttempts = 2;
 constexpr LithoQuality kEscalatedQuality = LithoQuality::kFine;
@@ -466,9 +466,10 @@ PostOpcFlow::PostOpcFlow(const PlacedDesign& design, const StdCellLibrary& lib,
     silicon_resist.diffusion_nm += options_.silicon.diffusion_delta_nm;
     silicon_resist.threshold += options_.silicon.threshold_delta;
   }
-  // One imaging engine for the whole flow: the OPC model and the silicon
-  // reference both honour FlowOptions::imaging (per-phase OpcImaging knobs
-  // may still override inside the OPC loop).
+  // One imaging engine for the flow's simulators: extraction, the hotspot
+  // scan and the silicon reference honour FlowOptions::imaging.  The OPC
+  // loop images on OpcOptions::imaging and takes only the SOCS truncation
+  // knobs from here.
   sim_.set_imaging(options_.imaging);
   silicon_sim_ = LithoSimulator(sim.optics(), silicon_resist, options_.imaging);
   if (options_.cache.enabled) {
@@ -1006,14 +1007,11 @@ void PostOpcFlow::run_opc_windows(
   // bit-identical whatever the thread count.
   std::vector<OpcStats> per_window(n);
   // The retry: sign-off quality for the draft iterations, on the Abbe
-  // reference engine when the nominal path runs SOCS.
+  // reference engine.  The OPC engine is the options' own, so the retry
+  // keeps the nominal simulator.
   OpcOptions retry_opc = options_.opc;
   retry_opc.sim_quality = retry_opc.final_quality;
-  if (sim_.imaging().mode == ImagingMode::kSocs) {
-    retry_opc.sim_imaging = OpcImaging::kAbbe;
-    retry_opc.final_imaging = OpcImaging::kAbbe;
-  }
-  const LithoSimulator retry = retry_sim(sim_);
+  retry_opc.imaging = ImagingMode::kAbbe;
   run_windows({
       .name = "opc",
       .journal_phase = JournalPhase::kOpc,
@@ -1043,7 +1041,7 @@ void PostOpcFlow::run_opc_windows(
             const std::size_t i = ids[k];
             const bool nominal = attempt == 0;
             OpcWindowResult r = opc_window(
-                i, mode_for_instance(i), nominal ? sim_ : retry,
+                i, mode_for_instance(i), sim_,
                 nominal ? options_.opc : retry_opc, /*use_cache=*/nominal);
             masks_[i] = std::move(r.mask);
             per_window[i] = r.stats;

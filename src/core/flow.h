@@ -138,10 +138,11 @@ struct FlowOptions {
   CdExtractOptions cdx;
   LithoQuality extract_quality = LithoQuality::kStandard;
   /// Imaging engine for BOTH flow simulators (the OPC model and the silicon
-  /// extraction): kAbbe (reference, the default) or kSocs (fast TCC-kernel
-  /// path) plus the SOCS truncation knobs.  Applied at construction; the
-  /// per-phase OpcImaging knobs in `opc` can still override the engine for
-  /// OPC draft/sign-off iterations.  Hashed into every window fingerprint.
+  /// reference), used by extraction and the hotspot scan: kAbbe (reference,
+  /// the default) or kSocs (fast TCC-kernel path) plus the SOCS truncation
+  /// knobs.  Applied at construction.  OPC iterations image on
+  /// `opc.imaging` instead (SOCS by default) and take only the truncation
+  /// knobs from here.  Hashed into every window fingerprint.
   ImagingOptions imaging;
   DbUnit ambit_nm = 600;        ///< optical context around each instance
   StaOptions sta;

@@ -80,25 +80,11 @@ OpcResult OpcEngine::correct(const std::vector<Polygon>& targets,
     result.srafs = insert_srafs(targets, window);
   }
 
-  // Per-phase imaging engine: draft iterations may run the SOCS fast path
-  // while sign-off iterations stay on the reference engine.
-  const auto imaging_override = [](OpcImaging oi) -> std::optional<ImagingMode> {
-    switch (oi) {
-      case OpcImaging::kAbbe: return ImagingMode::kAbbe;
-      case OpcImaging::kSocs: return ImagingMode::kSocs;
-      case OpcImaging::kFollowSimulator: break;
-    }
-    return std::nullopt;
-  };
-
   LithoQuality quality = options_.sim_quality;
   for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
     result.corrected = apply_fragments(targets, result.fragments);
-    const OpcImaging phase_imaging = quality == options_.final_quality
-                                         ? options_.final_imaging
-                                         : options_.sim_imaging;
     measure_epe(result.fragments, result.mask_rects(), window, nominal,
-                quality, imaging_override(phase_imaging));
+                quality, options_.imaging);
 
     double max_abs = 0.0, sum_sq = 0.0;
     double body_max = 0.0, body_sum_sq = 0.0;

@@ -1,13 +1,15 @@
 // Model-based OPC: iterative per-fragment edge-placement-error feedback.
-// Each iteration simulates the current mask (draft litho quality), measures
-// the printed contour position against the original target at every fragment
-// control point, and moves the fragment by -damping * EPE.  Residual EPE
-// after convergence is exactly the "residual OPC error" the paper extracts
-// and propagates into timing.
+// Each iteration simulates the current mask, measures the printed contour
+// position against the original target at every fragment control point, and
+// moves the fragment by -damping * EPE.  Residual EPE after convergence is
+// exactly the "residual OPC error" the paper extracts and propagates into
+// timing.  The OPC model images on SOCS by default (OpcOptions::imaging):
+// at its default exact energy it prints the same masks as the Abbe
+// reference, which the flow keeps for sign-off extraction, the containment
+// retry and the SocsVsAbbe mask-agreement oracle.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -17,12 +19,6 @@
 #include "src/opc/fragment.h"
 
 namespace poc {
-
-/// Imaging engine selection for one OPC phase.  kFollowSimulator defers to
-/// the simulator's own ImagingOptions (the flow-level default); kAbbe/kSocs
-/// force that engine for the phase regardless of the simulator setting —
-/// the intended production schedule runs SOCS drafts with Abbe sign-off.
-enum class OpcImaging : std::uint8_t { kFollowSimulator, kAbbe, kSocs };
 
 struct OpcOptions {
   FragmentationOptions fragmentation;
@@ -42,11 +38,10 @@ struct OpcOptions {
   LithoQuality final_quality = LithoQuality::kStandard;
   double handoff_epe_nm = 2.5;
   std::size_t final_iterations = 3;  ///< budget reserved for fine iterations
-  /// Imaging engine per phase of the coarse-to-fine schedule: draft
-  /// iterations may run the SOCS fast path while sign-off iterations stay
-  /// on the Abbe reference (or follow the simulator's flow-level setting).
-  OpcImaging sim_imaging = OpcImaging::kFollowSimulator;
-  OpcImaging final_imaging = OpcImaging::kFollowSimulator;
+  /// Imaging engine of every iteration, whatever the simulator's own mode.
+  /// The SOCS truncation knobs still come from the simulator's
+  /// ImagingOptions::socs, which keep every kernel by default.
+  ImagingMode imaging = ImagingMode::kSocs;
   bool insert_srafs = false;     ///< rule-based scattering bars (see sraf.h)
   /// Non-convergence abort threshold (0 = off, the default): when the body
   /// EPE still exceeds this after the full iteration budget, correct()

@@ -209,22 +209,22 @@ TEST(DeterminismSocs, SocsFlowBitIdenticalAcrossThreads) {
 }
 
 /// The three imaging schedules the flow runs: Abbe everywhere, SOCS for the
-/// draft OPC iterations only, and SOCS end to end.
+/// OPC model only (the default), and SOCS end to end.
 struct EngineCase {
   const char* name;
   ImagingMode flow_mode;
-  OpcImaging opc_draft;
+  ImagingMode opc_mode;
 };
 constexpr EngineCase kEngines[] = {
-    {"abbe", ImagingMode::kAbbe, OpcImaging::kFollowSimulator},
-    {"socs_draft", ImagingMode::kAbbe, OpcImaging::kSocs},
-    {"socs_full", ImagingMode::kSocs, OpcImaging::kFollowSimulator},
+    {"abbe", ImagingMode::kAbbe, ImagingMode::kAbbe},
+    {"socs_opc", ImagingMode::kAbbe, ImagingMode::kSocs},
+    {"socs_full", ImagingMode::kSocs, ImagingMode::kSocs},
 };
 
 FlowOptions engine_options(const EngineCase& e, std::size_t threads) {
   FlowOptions opts = options_with_threads(threads);
   opts.imaging.mode = e.flow_mode;
-  opts.opc.sim_imaging = e.opc_draft;
+  opts.opc.imaging = e.opc_mode;
   return opts;
 }
 

@@ -558,6 +558,53 @@ TEST_F(FaultFlowFixture, OpcStickyStallFallsBackToDrawnMask) {
   EXPECT_FALSE(cmp.health.degraded_gates.empty());
 }
 
+TEST_F(FaultFlowFixture, OpcRetryRunsOnAbbe) {
+  // The flow images on Abbe and OPC on SOCS, truncated to two kernels so a
+  // SOCS mask differs from an Abbe one.  A transient stall at instance 0
+  // sends that window to the retry, which must correct it on the Abbe
+  // reference at sign-off quality, whatever engine the flow itself runs.
+  const auto options = [](std::size_t threads) {
+    FlowOptions o = fault_flow_options(threads);
+    o.imaging.socs.max_kernels = 2;
+    return o;
+  };
+  const auto fault_free_mask = [](const FlowOptions& o) {
+    PostOpcFlow flow(design(), lib(), LithoSimulator{}, o);
+    flow.run_opc(OpcMode::kModelBased);
+    EXPECT_TRUE(flow.health().clean());
+    return flow.mask_for_instance(0);
+  };
+  FlowOptions abbe_standard = options(1);
+  abbe_standard.opc.imaging = ImagingMode::kAbbe;
+  abbe_standard.opc.sim_quality = LithoQuality::kStandard;
+  FlowOptions socs_standard = options(1);
+  socs_standard.opc.sim_quality = LithoQuality::kStandard;
+  const std::vector<Rect> expected = fault_free_mask(abbe_standard);
+  // The engines must be told apart on this window, or the test proves
+  // nothing: neither the nominal truncated-SOCS mask nor a SOCS retry at
+  // sign-off quality may equal the Abbe retry's.
+  ASSERT_FALSE(fault_free_mask(options(1)) == expected);
+  ASSERT_FALSE(fault_free_mask(socs_standard) == expected);
+
+  fault::Config cfg;
+  cfg.enabled = true;
+  cfg.transient = true;
+  cfg.targets.push_back(
+      {fault::Kind::kConvergenceStall, fault::Domain::kOpc, 0});
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ScopedFault plan(cfg);  // fresh plan: transient bookkeeping cleared
+    PostOpcFlow flow(design(), lib(), LithoSimulator{}, options(threads));
+    flow.run_opc(OpcMode::kModelBased);
+    const FlowHealth h = flow.health();
+    ASSERT_EQ(h.faults.size(), 1u);
+    EXPECT_EQ(h.faults[0].phase, "opc");
+    EXPECT_TRUE(h.faults[0].recovered);
+    EXPECT_TRUE(flow.mask_for_instance(0) == expected)
+        << "the retried window does not carry the Abbe mask";
+  }
+}
+
 TEST_F(FaultFlowFixture, NanPixelRaisesStructuredNonFiniteFault) {
   fault::Config cfg;
   cfg.enabled = true;

@@ -1,11 +1,16 @@
 // Tests for the SOCS fast imaging path (src/litho/tcc.h): TCC operator
 // properties (Hermitian, PSD, trace), the Gram-factorized eigendecomposition
-// against the explicit operator, kernel truncation behaviour, and the
-// headline accuracy contract — SOCS CDs within 0.1 nm of the Abbe reference
-// at nominal conditions across iso/dense pitches (and within a relaxed
-// budget under defocus and aberrations).
+// against the explicit operator, kernel truncation behaviour, the headline
+// accuracy contract — SOCS CDs within 0.1 nm of the Abbe reference at
+// nominal conditions across iso/dense pitches (and within a relaxed budget
+// under defocus and aberrations) — and the OPC mask-agreement oracle that
+// lets the OPC model run on SOCS while sign-off stays on Abbe.
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -13,12 +18,16 @@
 
 #include "src/cdx/contour.h"
 #include "src/common/rng.h"
+#include "src/core/flow.h"
 #include "src/litho/imaging.h"
 #include "src/litho/mask.h"
 #include "src/litho/optics.h"
 #include "src/litho/pupil_cache.h"
 #include "src/litho/simulator.h"
 #include "src/litho/tcc.h"
+#include "src/netlist/generators.h"
+#include "src/opc/opc_engine.h"
+#include "src/par/thread_pool.h"
 
 namespace poc {
 namespace {
@@ -379,6 +388,165 @@ TEST(SocsVsAbbe, SocsImagesAreBitIdenticalAcrossCalls) {
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     EXPECT_EQ(a.data()[i], b.data()[i]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// OPC mask agreement.  The OPC model images on SOCS by default while the
+// flow's sign-off extraction stays on Abbe; that split is sound only while
+// both engines print the same masks.  Nothing guarantees it: the EPE probe
+// reads the sign of latent - threshold, and every move rounds
+// -damping * EPE to whole nm, so the masks agree only while the engines'
+// last-bit differences stay far inside those decisions.  This oracle
+// measures how far.
+
+const StdCellLibrary& lib() {
+  static const StdCellLibrary l = StdCellLibrary::load_or_characterize(
+      (std::filesystem::temp_directory_path() / "poc_cells_test.lib")
+          .string());
+  return l;
+}
+
+struct OpcWindowCase {
+  Rect window;
+  std::vector<Polygon> targets;
+};
+
+/// Every instance window the flow corrects (same ambit, same targets) on
+/// three designs: the sign-off benchmark's random logic, a repeated-cell
+/// tiled block and a ripple adder.
+std::vector<OpcWindowCase> opc_window_corpus() {
+  const Netlist designs[] = {make_random_logic(48, 16, 0xABCD02),
+                             make_tiled(6), make_ripple_adder(4)};
+  const DbUnit ambit = FlowOptions{}.ambit_nm;
+  std::vector<OpcWindowCase> corpus;
+  for (const Netlist& nl : designs) {
+    const PlacedDesign d = place_and_route(nl, lib());
+    for (std::size_t i = 0; i < d.layout.num_instances(); ++i) {
+      const Instance& inst = d.layout.instance(i);
+      OpcWindowCase w;
+      w.window = inst.transform.apply(d.layout.cell(inst.cell).boundary)
+                     .inflated(ambit);
+      w.targets = d.layout.flatten_layer_polys(w.window, Layer::kPoly);
+      if (!w.targets.empty()) corpus.push_back(std::move(w));
+    }
+  }
+  return corpus;
+}
+
+bool same_polygons(const std::vector<Polygon>& a,
+                   const std::vector<Polygon>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    if (a[p].vertices() != b[p].vertices()) return false;
+  }
+  return true;
+}
+
+/// What one window's two corrections and its re-measured probes showed.
+struct WindowAgreement {
+  bool same_mask = false;  ///< corrected, srafs, every bias, iterations
+  double history_delta = 0.0;  ///< per-iteration body max/rms EPE, Abbe-SOCS
+  std::size_t probes = 0;      ///< re-measured probes (both qualities)
+  std::size_t epe_differs = 0;
+  std::size_t move_differs = 0;  ///< llround(-damping * EPE) disagreements
+  double epe_delta = 0.0;        ///< worst |EPE_Abbe - EPE_SOCS|
+  /// Smallest distance of damping * EPE from a rounding boundary k + 1/2.
+  double round_margin = std::numeric_limits<double>::infinity();
+};
+
+WindowAgreement compare_engines(const OpcWindowCase& w) {
+  const LithoSimulator sim;  // the flow's defaults: exact SOCS knobs
+  OpcOptions abbe_options;
+  abbe_options.imaging = ImagingMode::kAbbe;
+  OpcOptions socs_options;
+  socs_options.imaging = ImagingMode::kSocs;
+  const OpcEngine abbe(sim, abbe_options);
+  const OpcResult a = abbe.correct(w.targets, w.window);
+  const OpcResult s = OpcEngine(sim, socs_options).correct(w.targets, w.window);
+
+  WindowAgreement out;
+  out.same_mask = a.iterations == s.iterations &&
+                  same_polygons(a.corrected, s.corrected) &&
+                  a.srafs == s.srafs &&
+                  a.fragments.size() == s.fragments.size();
+  for (std::size_t f = 0; out.same_mask && f < a.fragments.size(); ++f) {
+    out.same_mask = a.fragments[f].bias == s.fragments[f].bias;
+  }
+  const std::size_t n =
+      std::min(a.max_epe_history.size(), s.max_epe_history.size());
+  for (std::size_t k = 0; k < n; ++k) {
+    out.history_delta = std::max(
+        {out.history_delta,
+         std::abs(a.max_epe_history[k] - s.max_epe_history[k]),
+         std::abs(a.rms_epe_history[k] - s.rms_epe_history[k])});
+  }
+
+  // Re-measure the Abbe mask under both engines at both OPC qualities.
+  const double damping = abbe_options.damping;
+  const std::vector<Rect> mask = a.mask_rects();
+  for (const LithoQuality q : {LithoQuality::kDraft, LithoQuality::kStandard}) {
+    std::vector<Fragment> fa = a.fragments;
+    std::vector<Fragment> fs = a.fragments;
+    abbe.measure_epe(fa, mask, w.window, {}, q, ImagingMode::kAbbe);
+    abbe.measure_epe(fs, mask, w.window, {}, q, ImagingMode::kSocs);
+    for (std::size_t f = 0; f < fa.size(); ++f) {
+      if (fa[f].frozen) continue;
+      ++out.probes;
+      const double ea = fa[f].epe_nm;
+      const double es = fs[f].epe_nm;
+      if (ea != es) ++out.epe_differs;
+      out.epe_delta = std::max(out.epe_delta, std::abs(ea - es));
+      if (std::llround(-damping * ea) != std::llround(-damping * es)) {
+        ++out.move_differs;
+      }
+      for (const double e : {ea, es}) {
+        const double m = std::abs(damping * e);
+        out.round_margin =
+            std::min(out.round_margin, std::abs(m - std::floor(m) - 0.5));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SocsVsAbbe, OpcMasksIdenticalOnWindowCorpus) {
+  // Model-based OPC on SOCS (exact energy) and on Abbe must produce the
+  // same mask on every window: same corrected polygons, SRAFs, per-fragment
+  // biases and iteration count.  Re-measuring each final mask under both
+  // engines, at draft and standard quality, must round every probe's move
+  // the same way.  EPE values themselves may differ in their last bits.
+  const std::vector<OpcWindowCase> corpus = opc_window_corpus();
+  ASSERT_GE(corpus.size(), 100u);
+  std::vector<WindowAgreement> results(corpus.size());
+  parallel_for(4, corpus.size(), /*chunk=*/1, [&](std::size_t i) {
+    results[i] = compare_engines(corpus[i]);
+  });
+
+  WindowAgreement all;  // summed counts, worst deltas and margin
+  std::size_t same_masks = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const WindowAgreement& r = results[i];
+    EXPECT_TRUE(r.same_mask) << "window " << i;
+    EXPECT_EQ(r.move_differs, 0u) << "window " << i;
+    same_masks += r.same_mask ? 1 : 0;
+    all.history_delta = std::max(all.history_delta, r.history_delta);
+    all.probes += r.probes;
+    all.epe_differs += r.epe_differs;
+    all.epe_delta = std::max(all.epe_delta, r.epe_delta);
+    all.round_margin = std::min(all.round_margin, r.round_margin);
+  }
+  // The EPE traces agree to rounding noise, far below the 1 nm bias step.
+  EXPECT_LT(all.history_delta, 1e-6);
+  EXPECT_LT(all.epe_delta, 1e-6);
+  std::printf(
+      "OPC engine agreement: %zu/%zu masks identical; %zu probes, %zu EPEs "
+      "differ in their last bits; worst |dEPE| %.3g nm; smallest rounding "
+      "margin of damping*EPE %.3g nm; worst EPE-history delta %.3g nm\n",
+      same_masks, corpus.size(), all.probes, all.epe_differs,
+      all.epe_delta, all.round_margin, all.history_delta);
+  RecordProperty("worst_epe_delta_nm", testing::PrintToString(all.epe_delta));
+  RecordProperty("min_round_margin_nm",
+                 testing::PrintToString(all.round_margin));
 }
 
 }  // namespace

@@ -252,7 +252,9 @@ TEST(LayoutGen, ShapesStayInsideBoundaryAndSpacingHolds) {
         if (poly[i].yhi <= poly[j].ylo || poly[j].yhi <= poly[i].ylo) continue;
         const DbUnit gap = std::max(poly[i].xlo, poly[j].xlo) -
                            std::min(poly[i].xhi, poly[j].xhi);
-        if (gap > 0) EXPECT_GE(gap, tech.poly_space) << name;
+        if (gap > 0) {
+          EXPECT_GE(gap, tech.poly_space) << name;
+        }
       }
     }
   }
