@@ -2,9 +2,10 @@
 //
 // Coordinator (default): partitions the design's instance windows into one
 // shard per worker, fork/execs itself (`/proc/self/exe --worker-mode ...`)
-// once per shard, merges the workers' published journal segments in global
-// window-index order, replays the merged journal through the standard
-// restore path (residual windows recompute in-process), and runs STA once.
+// once per shard, merges the workers' private journals (read-only) in
+// global window-index order, replays the merged journal through the
+// standard restore path (residual windows recompute in-process), and runs
+// STA once.
 // Workers share a spill-to-disk window cache under the work dir, so a
 // window computed by worker 0 is a disk hit for worker 3.
 //
@@ -12,7 +13,7 @@
 //   ./shard_worker --workers 2 --policy interleaved     round-robin shards
 //   ./shard_worker --workers 2 --kill-worker 1 --kill-after 10
 //       worker 1 SIGKILLs itself after 10 journaled windows; the
-//       coordinator salvages its private journal, recomputes the residual
+//       coordinator merges what its journal holds, recomputes the residual
 //       windows, and the final timing comparison is bit-identical to an
 //       undisturbed run (scripts/shard_smoke.sh asserts this).
 //   ./shard_worker --workers 2 --stall-worker 1 --stall-after 5
@@ -31,9 +32,10 @@
 //       the run itself are unaffected.
 //
 // The per-run layout under --work-dir:
-//   run.wNN.seg    worker NN's published shard segment
-//   run.wNN.stats  worker NN's wall time / peak RSS / cache counters
-//   wNN/journal/   worker NN's private write-ahead journal
+//   run.wNN.stats  worker NN's heartbeats, wall time / peak RSS / cache
+//                  counters
+//   wNN/journal/   worker NN's private write-ahead journal, the only record
+//                  it leaves (the coordinator reads it, never writes it)
 //   cache/         shared content-addressed disk cache (opc/latent/orc)
 //   merged/        the merged journal the final restore replays
 #include <unistd.h>
@@ -92,7 +94,7 @@ struct Args {
 
 /// Flow config shared verbatim by the coordinator's final pass and every
 /// worker — any divergence would change the config fingerprint and make
-/// the coordinator reject the workers' segments.
+/// the coordinator reject the workers' journals.
 FlowOptions make_base(const Args& args) {
   FlowOptions opts;
   opts.sta.clock_period = 2200.0;
@@ -184,10 +186,9 @@ int run_coordinator(const Args& args, const PlacedDesign& design,
       run_sharded_flow(design, lib, LithoSimulator{}, make_base(args), so);
 
   for (const WorkerSegmentOutcome& wo : result.merge.workers) {
-    std::printf("worker %02u: %zu records%s%s%s\n", wo.worker, wo.records,
-                wo.torn ? " [torn tail sealed]" : "",
-                wo.salvaged ? " [salvaged private journal]" : "",
-                !wo.segment_found && !wo.salvaged ? " [segment missing]" : "");
+    std::printf("worker %02u: %zu records, %zu replay issues%s\n", wo.worker,
+                wo.records, wo.issues.size(),
+                wo.found ? "" : " [journal missing]");
   }
   for (const WorkerIntervention& iv : result.interventions) {
     std::printf("intervention: worker %u attempt %u %s (%s)\n", iv.worker,

@@ -12,7 +12,7 @@
 #              respawn resumes from the sealed private journal.  Reported
 #              interventions must be non-zero.
 #   kill -9  — worker 0 SIGKILLs itself mid-shard (--kill-after); the
-#              coordinator salvages the private journal and recomputes the
+#              coordinator merges what its journal holds and recomputes the
 #              residual.  Reported shard faults must be non-zero.
 #   enospc   — every journal write in workers AND coordinator fails with
 #              injected ENOSPC (--fault-journal-enospc): the run loses all

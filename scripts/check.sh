@@ -5,15 +5,16 @@
 # durable-run suite (run_test — journal replay, cancellation, kill-resume)
 # and the flow-level tests that exercise it (cache_test, core_test — now
 # including the SOCS-mode flows), an AddressSanitizer build over the
-# common/litho/SOCS/cache/core/fault tests, and the crash-recovery gate
+# common/litho/SOCS/cache/core/fault/run tests, and the crash-recovery gate
 # (scripts/crash_recovery.sh — SIGKILL a journaled run mid-flow, resume at
 # 1 and 4 threads, assert the annotated worst slack is bit-identical).  The TSan step is what keeps the
 # determinism contract honest —
 # slot writes and the work-stealing queues must be race-free, not just
 # produce the right answer on one scheduling.  The ASan step covers the
-# imaging scratch-buffer reuse, the kernel/pupil cache lifetimes and the
+# imaging scratch-buffer reuse, the kernel/pupil cache lifetimes, the
 # four-lane FFT kernel's unaligned 32-byte loads and stores at arbitrary
-# strides (common_test's lane oracle).
+# strides (common_test's lane oracle), and the journal reader parsing torn
+# and bit-flipped segments from disk (run_test).
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -49,9 +50,9 @@ cmake --build build-tsan -j "$JOBS" --target par_test fault_test run_test cache_
 # slot write contract while the asserts check bit-identity.
 ./build-tsan/tests/sta_incremental_test
 
-echo "== step 4/5: ASan build + memory tests (common_test, litho_test, cdx_test, fault_test, socs_test, cache_test, core_test, batch_test) =="
+echo "== step 4/5: ASan build + memory tests (common_test, litho_test, cdx_test, fault_test, socs_test, cache_test, core_test, batch_test, run_test) =="
 cmake -B build-asan -S . -DPOC_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$JOBS" --target common_test litho_test cdx_test fault_test socs_test cache_test core_test batch_test
+cmake --build build-asan -j "$JOBS" --target common_test litho_test cdx_test fault_test socs_test cache_test core_test batch_test run_test
 # Fft.SoaLanesMatchScalarBitForBit sizes each lane buffer to end at the last
 # lane, so a kernel load or store past it lands in the red zone.
 ./build-asan/tests/common_test
@@ -67,6 +68,9 @@ cmake --build build-asan -j "$JOBS" --target common_test litho_test cdx_test fau
 # engines) + the warm-call allocation probes (the probe's operator-new
 # override forwards to malloc, which ASan intercepts).
 ./build-asan/tests/batch_test
+# Journal replay parses bytes from disk: the torn-tail, bit-flip and
+# shard-merge tests feed the one reader damaged segments.
+./build-asan/tests/run_test
 
 echo "== step 5/5: crash-recovery gate (SIGKILL + resume, bit-identical WS) =="
 cmake --build build -j "$JOBS" --target resumable_flow

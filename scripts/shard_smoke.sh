@@ -10,8 +10,8 @@
 #      published);
 #   3. kill: a 2-worker run where worker 1 SIGKILLs itself mid-shard (the
 #      journal kill hook riding the worker argv).  The coordinator must
-#      contain the death — salvage the private journal, recompute the
-#      residual windows in-process, report phase-"shard" faults — and
+#      contain the death — merge what the worker's journal holds, recompute
+#      the residual windows in-process, report a phase-"shard" fault — and
 #      still print the identical worst slack with exit 0;
 #   4. resume: rerunning the coordinator over the kill leg's work dir must
 #      replay (shared disk cache + surviving journals) to the same slack.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -125,76 +126,46 @@ bool DiskCacheStore::put(const Fingerprint& fp, const std::uint8_t* data,
 
   fault::Scope io_scope(fault::Domain::kDiskCacheIo,
                         op_seq_.fetch_add(1, std::memory_order_relaxed));
-  bool published = false;
 
-  // Preferred publish path: an unlinked O_TMPFILE linked under the final
-  // name — the entry either appears whole or not at all, and a lost race
-  // (linkat EEXIST) leaves no residue.
-  int fd = ::open(dir_.c_str(), O_TMPFILE | O_WRONLY, 0644);
-  if (fd >= 0) {
-    if (!vfs::write_all(fd, bytes.data(), bytes.size()) ||
-        vfs::fsync(fd) != 0) {
-      ::close(fd);
-      publish_io_error();
-      return false;
-    }
-    char proc_path[64];
-    std::snprintf(proc_path, sizeof proc_path, "/proc/self/fd/%d", fd);
-    const int rc = vfs::linkat(AT_FDCWD, proc_path, AT_FDCWD,
-                               final_path.c_str(), AT_SYMLINK_FOLLOW);
-    ::close(fd);
-    if (rc != 0) {
-      if (errno == EEXIST) {
-        races_lost_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        publish_io_error();
-      }
-      return false;
-    }
-    published = true;
-  } else {
-    // Fallback (filesystems without O_TMPFILE): private temp file +
-    // link(2), which also refuses to replace an existing entry atomically.
-    char tmp_name[64];
-    std::snprintf(tmp_name, sizeof tmp_name, "/.tmp-%ld-%llx",
-                  static_cast<long>(::getpid()),
-                  static_cast<unsigned long long>(fp.lo));
-    const std::string tmp_path = dir_ + tmp_name;
-    fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-      publish_io_error();
-      return false;
-    }
-    const bool wrote = vfs::write_all(fd, bytes.data(), bytes.size()) &&
-                       vfs::fsync(fd) == 0;
-    ::close(fd);
-    if (!wrote) {
-      ::unlink(tmp_path.c_str());
-      publish_io_error();
-      return false;
-    }
-    const int rc = vfs::link(tmp_path.c_str(), final_path.c_str());
+  // Fill a private temp file, then link(2) it under the final name: the
+  // entry appears whole or not at all, and link refuses to replace an
+  // existing entry, so concurrent writers race first-insert-wins.  mkstemp
+  // gives every publish its own temp name, also two threads of one process
+  // (or two stores on one directory) publishing the same fingerprint.
+  std::string tmp_path = dir_ + "/.tmp-XXXXXX";
+  const int fd = ::mkstemp(tmp_path.data());
+  if (fd < 0) {
+    publish_io_error();
+    return false;
+  }
+  const bool wrote = ::fchmod(fd, 0644) == 0 &&
+                     vfs::write_all(fd, bytes.data(), bytes.size()) &&
+                     vfs::fsync(fd) == 0;
+  ::close(fd);
+  if (!wrote) {
     ::unlink(tmp_path.c_str());
-    if (rc != 0) {
-      if (errno == EEXIST) {
-        races_lost_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        publish_io_error();
-      }
-      return false;
+    publish_io_error();
+    return false;
+  }
+  const int rc = vfs::link(tmp_path.c_str(), final_path.c_str());
+  const int link_errno = errno;
+  ::unlink(tmp_path.c_str());
+  if (rc != 0) {
+    if (link_errno == EEXIST) {
+      races_lost_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      publish_io_error();
     }
-    published = true;
+    return false;
   }
 
-  if (published) {
-    publishes_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.max_bytes > 0) {
-      std::lock_guard<std::mutex> lock(quota_mutex_);
-      stored_bytes_ += bytes.size();
-      if (stored_bytes_ > options_.max_bytes) prune_locked(final_path);
-    }
+  publishes_.fetch_add(1, std::memory_order_relaxed);
+  if (options_.max_bytes > 0) {
+    std::lock_guard<std::mutex> lock(quota_mutex_);
+    stored_bytes_ += bytes.size();
+    if (stored_bytes_ > options_.max_bytes) prune_locked(final_path);
   }
-  return published;
+  return true;
 }
 
 void DiskCacheStore::publish_io_error() {

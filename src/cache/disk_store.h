@@ -2,13 +2,15 @@
 // that lets N worker processes share one window cache.  Each entry is a
 // file named by the 128-bit fingerprint, holding [magic, length, payload,
 // crc64(payload)].  Publication is atomic and first-insert-wins — a writer
-// fills an unlinked O_TMPFILE (or a private temp file) and links it under
-// the final name, so concurrent writers of the same fingerprint race
-// benignly: exactly one link succeeds, the loser discards its bits, and a
-// reader never observes a partially written entry.  Because entries are
-// keyed by a fingerprint covering every result-affecting input, the loser's
-// bits equal the winner's anyway; first-insert-wins is the same policy the
-// in-memory shards apply.
+// fills a private temp file (a unique mkstemp name) and links it under the
+// final name, so concurrent writers of the same fingerprint race benignly:
+// exactly one link succeeds, the loser discards its bits, and a reader
+// never observes a partially written entry.  A crash mid-publish can leave
+// a ".tmp-*" file behind; readers, the quota and pruning skip every name
+// that is not an ".entry".  Because entries are keyed by a fingerprint
+// covering every result-affecting input, the loser's bits equal the
+// winner's anyway; first-insert-wins is the same policy the in-memory
+// shards apply.
 //
 // Failure policy mirrors the run journal: an I/O error never perturbs
 // results.  get() misses, put() drops the entry, and the counters record

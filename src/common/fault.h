@@ -44,10 +44,9 @@ enum class Domain : std::uint8_t {
   kScan,     ///< per-window ORC scan
   // I/O domains: the durability stack wraps its syscalls in a Scope naming
   // which component is touching disk, so a test can break exactly one
-  // layer (journal appends, disk-cache publishes, segment publishes).
+  // layer (journal appends, disk-cache publishes).
   kJournalIo,    ///< run-journal appends/fsyncs/seals (src/run/journal)
   kDiskCacheIo,  ///< disk-cache entry publishes (src/cache/disk_store)
-  kSegmentIo,    ///< shard segment publish/seal (src/run/shard)
 };
 
 /// Target index wildcard: fault every probe of the (kind, domain) pair

@@ -57,12 +57,6 @@ int link(const char* old_path, const char* new_path) {
   return ::link(old_path, new_path);
 }
 
-int linkat(int old_dirfd, const char* old_path, int new_dirfd,
-           const char* new_path, int flags) {
-  if (inject(fault::Kind::kIoEio, EIO)) return -1;
-  return ::linkat(old_dirfd, old_path, new_dirfd, new_path, flags);
-}
-
 int truncate(const char* path, off_t length) {
   if (inject(fault::Kind::kIoEio, EIO)) return -1;
   return ::truncate(path, length);

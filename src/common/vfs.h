@@ -1,12 +1,12 @@
 // Injectable VFS shim for the durability stack.  Every syscall that makes
-// run state durable — journal appends and fsyncs, shard-segment and
-// disk-cache publishes (write, fsync, rename, link/linkat, truncate) —
-// goes through these wrappers instead of the raw syscalls, so ENOSPC,
-// EIO and short writes are first-class injectable faults: a test breaks
-// exactly one I/O domain (fault::Domain::{kJournalIo, kDiskCacheIo,
-// kSegmentIo}) and asserts the degradation contract (journal goes inert
-// and the run continues undurable; the disk cache tier goes down while
-// the memory tier keeps serving; results stay bit-identical throughout).
+// run state durable — journal appends, fsyncs and seals, disk-cache
+// publishes (write, fsync, rename, link, truncate) — goes through these
+// wrappers instead of the raw syscalls, so ENOSPC, EIO and short writes
+// are first-class injectable faults: a test breaks exactly one I/O domain
+// (fault::Domain::{kJournalIo, kDiskCacheIo}) and asserts the degradation
+// contract (journal goes inert and the run continues undurable; the disk
+// cache tier goes down while the memory tier keeps serving; results stay
+// bit-identical throughout).
 //
 // Fault-free cost is one relaxed atomic load per call (fault::enabled()),
 // measured in BENCH_PR10.json.  With no fault plan installed — or outside
@@ -33,10 +33,6 @@ int rename(const char* old_path, const char* new_path);
 
 /// link(2).  Injectable: kIoEio.
 int link(const char* old_path, const char* new_path);
-
-/// linkat(2).  Injectable: kIoEio.
-int linkat(int old_dirfd, const char* old_path, int new_dirfd,
-           const char* new_path, int flags);
 
 /// truncate(2).  Injectable: kIoEio.
 int truncate(const char* path, off_t length);

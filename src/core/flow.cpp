@@ -548,9 +548,9 @@ Fingerprint PostOpcFlow::config_fingerprint() const {
   // Recovery shapes outcomes (retry counts, degradations), so records from
   // a differently-contained run must not replay.  The fixed retry policy
   // still hashes as the three knobs it replaced (one retry, escalated
-  // quality, Abbe fallback: 1, 1, 1), so existing journals, shard segments
-  // and disk caches keep replaying.  threads and cache/journal knobs are
-  // deliberately absent: results are bit-identical across them.
+  // quality, Abbe fallback: 1, 1, 1), so existing journals and disk caches
+  // keep replaying.  threads and cache/journal knobs are deliberately
+  // absent: results are bit-identical across them.
   h.u64(options_.recovery.enabled ? 1 : 0).u64(1).u64(1).u64(1);
   // Design identity: placement (cell + transform per instance) and the
   // gate map.  Window geometry itself is hashed per record; this coarse

@@ -72,6 +72,12 @@ std::uint64_t stats_file_size(const std::string& work_dir,
   return static_cast<std::uint64_t>(st.st_size);
 }
 
+/// The worker's private journal directory ("<work_dir>/w00/journal").
+std::string shard_journal_dir(const std::string& work_dir,
+                              std::uint32_t worker) {
+  return shard_worker_dir(work_dir, worker) + "/journal";
+}
+
 /// One in-process worker attempt-chain for the supervision loop.  "kill"
 /// is a cooperative cancel (threads cannot be SIGKILLed): the stall loop
 /// and the flow's chunk boundaries poll the per-attempt token, so a
@@ -167,12 +173,12 @@ bool run_shard_worker(const PlacedDesign& design, const StdCellLibrary& lib,
       options.work_dir + "/" + shard_stats_name(spec.worker);
   const auto t0 = std::chrono::steady_clock::now();
 
-  // The worker's durability story is its private write-ahead journal: every
-  // completed window lands there first, so even a SIGKILL mid-run leaves a
-  // salvageable record of everything durably finished.
+  // The worker's private write-ahead journal is the only record it leaves:
+  // every completed window lands there first, so even a SIGKILL mid-run
+  // leaves everything durably finished for the coordinator to merge.
   FlowOptions opts = std::move(base);
   opts.journal.enabled = true;
-  opts.journal.path = worker_dir + "/journal";
+  opts.journal.path = shard_journal_dir(options.work_dir, spec.worker);
   opts.journal.kill_after_appends = options.kill_after_appends;
   if (options.cancel != nullptr) opts.cancel = options.cancel;
 
@@ -220,46 +226,16 @@ bool run_shard_worker(const PlacedDesign& design, const StdCellLibrary& lib,
   const std::vector<std::size_t> instances = shard_indices(spec);
   const std::vector<GateIdx> gates = shard_gates(design, spec);
 
-  Fingerprint config_fp;
+  std::size_t records = 0;
   PostOpcFlow::FlowCacheCounters counters;
   {
     PostOpcFlow flow(design, lib, sim, opts);
-    config_fp = flow.config_fingerprint();
     flow.run_opc_subset(options.opc_mode, instances);
     (void)flow.extract(options.exposure, gates);
+    const RunJournal::Stats js = flow.journal_stats();
+    records = js.loaded_records + js.appended_records;
     counters = flow.cache_counters();
-    // Flow destruction seals the journal's active segment.
-  }
-
-  // Publish: re-read the sealed journal (replay validates every record and
-  // truncates any torn tail) and write its records as this worker's shard
-  // segment, temp-file + atomic rename.
-  JournalOptions reopen;
-  reopen.enabled = true;
-  reopen.path = worker_dir + "/journal";
-  std::vector<JournalRecord> records;
-  try {
-    RunJournal journal(reopen, config_fp);
-    records = journal.loaded_records();
-  } catch (const FlowException& e) {
-    log_warn("shard worker ", spec.worker,
-             ": cannot re-read journal for publish: ", e.error().to_string());
-    return false;
-  }
-
-  ShardSegmentHeader header;
-  header.worker = spec.worker;
-  header.workers = spec.workers;
-  header.policy = spec.policy;
-  header.lo = spec.lo;
-  header.hi = spec.hi;
-  header.config_fp = config_fp;
-  std::string error;
-  const std::string segment_path =
-      options.work_dir + "/" + shard_segment_name(spec.worker);
-  if (!write_shard_segment(segment_path, header, records, &error)) {
-    log_warn("shard worker ", spec.worker, ": publish failed: ", error);
-    return false;
+    // Flow destruction flushes and closes the journal.
   }
 
   const double wall_ms =
@@ -273,7 +249,7 @@ bool run_shard_worker(const PlacedDesign& design, const StdCellLibrary& lib,
   stats << "worker " << spec.worker << "\n"
         << "windows " << instances.size() << "\n"
         << "gates " << gates.size() << "\n"
-        << "records " << records.size() << "\n"
+        << "records " << records << "\n"
         << "wall_ms " << wall_ms << "\n"
         << "maxrss_kb " << ru.ru_maxrss << "\n"
         << "mem_hits " << total.hits << "\n"
@@ -281,7 +257,7 @@ bool run_shard_worker(const PlacedDesign& design, const StdCellLibrary& lib,
         << "misses " << total.misses << "\n"
         << "insertions " << total.insertions << "\n";
   log_info("SHARD_WORKER worker=", spec.worker, " windows=", instances.size(),
-           " gates=", gates.size(), " records=", records.size(),
+           " gates=", gates.size(), " records=", records,
            " disk_hits=", total.disk_hits, " maxrss_kb=", ru.ru_maxrss);
   return stats.good();
 }
@@ -300,7 +276,7 @@ ShardFlowResult run_sharded_flow(const PlacedDesign& design,
     base.cache.disk_path = options.work_dir + "/cache";
   }
 
-  // Config fingerprint for segment validation/merge — from a journal-less
+  // Config fingerprint for journal validation at merge — from a journal-less
   // flow over the same config (the fingerprint covers neither journal nor
   // cache knobs, so this matches every worker's stamp).
   Fingerprint config_fp;
@@ -339,7 +315,7 @@ ShardFlowResult run_sharded_flow(const PlacedDesign& design,
       }
       return supervise_worker_processes(commands, sup);
     }
-    // In-process mode: one thread per worker, same shard/segment/merge
+    // In-process mode: one thread per worker, same shard/journal/merge
     // machinery minus process isolation.  Workers share nothing in memory
     // (each thread builds its own flow); the disk cache is the only
     // cross-worker channel, exactly as in the multi-process case.
@@ -413,19 +389,14 @@ ShardFlowResult run_sharded_flow(const PlacedDesign& design,
     return false;
   };
 
-  // Collect + merge, salvaging dead workers' private journals.
-  std::vector<std::uint32_t> all_ids;
-  std::vector<std::string> salvage_dirs;
-  all_ids.reserve(specs.size());
-  salvage_dirs.reserve(specs.size());
+  // Merge every worker's journal, read-only.
+  std::vector<WorkerJournal> journals;
+  journals.reserve(specs.size());
   for (const ShardSpec& spec : specs) {
-    all_ids.push_back(spec.worker);
-    salvage_dirs.push_back(shard_worker_dir(options.work_dir, spec.worker) +
-                           "/journal");
+    journals.push_back(
+        {spec.worker, shard_journal_dir(options.work_dir, spec.worker)});
   }
-  result.merge =
-      collect_and_merge_segments(options.work_dir, all_ids, config_fp,
-                                 salvage_dirs);
+  result.merge = merge_worker_journals(journals, config_fp);
 
   // Residual redistribution: a worker whose respawn budget ran out leaves
   // a residual window range; re-partition it across fresh sub-shards (ids
@@ -486,19 +457,16 @@ ShardFlowResult run_sharded_flow(const PlacedDesign& design,
                                   w2.interventions.begin(),
                                   w2.interventions.end());
       for (const ShardSpec& sub : wave2) {
-        all_ids.push_back(sub.worker);
-        salvage_dirs.push_back(
-            shard_worker_dir(options.work_dir, sub.worker) + "/journal");
+        journals.push_back(
+            {sub.worker, shard_journal_dir(options.work_dir, sub.worker)});
       }
-      result.merge =
-          collect_and_merge_segments(options.work_dir, all_ids, config_fp,
-                                     salvage_dirs);
+      result.merge = merge_worker_journals(journals, config_fp);
     }
   }
 
   // Out-of-band health, in deterministic order: failed final exits, then
   // coordinator interventions (already sorted), then redistributions, then
-  // per-worker segment-collection outcomes.
+  // per-worker journal replay issues.
   for (const WorkerExit& ex : result.exits) {
     if (ex.ok()) continue;
     const std::string detail =
@@ -545,37 +513,21 @@ ShardFlowResult run_sharded_flow(const PlacedDesign& design,
                                     redistribution_faults.begin(),
                                     redistribution_faults.end());
   for (const WorkerSegmentOutcome& wo : result.merge.workers) {
-    if (wo.torn) {
-      result.shard_health.faults.push_back(
-          shard_fault(wo.worker, FaultCode::kJournalMismatch,
-                      wo.segment_path + " (torn tail sealed)",
-                      /*recovered=*/wo.records > 0, /*degraded=*/false));
-    }
-    if (wo.salvaged) {
-      result.shard_health.faults.push_back(shard_fault(
-          wo.worker, FaultCode::kJournalIo,
-          wo.segment_path + " (missing; salvaged private journal)",
-          /*recovered=*/wo.records > 0, /*degraded=*/wo.records == 0));
-    } else if (!wo.segment_found && !wo.torn) {
-      result.shard_health.faults.push_back(shard_fault(
-          wo.worker, FaultCode::kJournalIo,
-          wo.segment_path + " (missing)", /*recovered=*/false,
-          /*degraded=*/true));
-    }
+    // One fault per replay issue.  A worker whose journal directory is
+    // missing left nothing behind: its one issue is a degraded fault.
     for (const ReplayIssue& issue : wo.issues) {
-      result.shard_health.faults.push_back(
-          shard_fault(wo.worker, issue.code,
-                      issue.segment + ": " + issue.detail,
-                      /*recovered=*/false, /*degraded=*/false));
+      result.shard_health.faults.push_back(shard_fault(
+          wo.worker, issue.code, issue.segment + ": " + issue.detail,
+          /*recovered=*/false, /*degraded=*/!wo.found));
     }
   }
 
   // Per-worker stats, parsed tolerantly (a killed worker's file may be
   // absent, heartbeat-only, or torn — that classifies, never fails).
-  result.worker_stats.reserve(all_ids.size());
-  for (std::uint32_t id : all_ids) {
-    result.worker_stats.push_back(
-        parse_shard_stats(options.work_dir + "/" + shard_stats_name(id)));
+  result.worker_stats.reserve(journals.size());
+  for (const WorkerJournal& journal : journals) {
+    result.worker_stats.push_back(parse_shard_stats(
+        options.work_dir + "/" + shard_stats_name(journal.worker)));
   }
 
   // Merged restore + residual recompute + one final STA.  A failed merge
@@ -585,8 +537,8 @@ ShardFlowResult run_sharded_flow(const PlacedDesign& design,
   fin.journal.path = options.work_dir + "/merged";
   fin.journal.kill_after_appends = 0;
   std::string error;
-  if (!write_merged_journal(fin.journal.path, config_fp, result.merge.records,
-                            &error)) {
+  if (!journal_io::write_sealed_segment(fin.journal.path, /*seq=*/1, config_fp,
+                                        result.merge.records, &error)) {
     log_warn("shard coordinator: merged journal write failed: ", error);
     result.shard_health.faults.push_back(
         shard_fault(kNoWindowId, FaultCode::kJournalIo, error,

@@ -6,11 +6,12 @@
 // splits across threads.  The coordinator partitions the instance index
 // space into one shard per worker (src/run/shard), each worker runs the
 // existing flow over its shard — private write-ahead journal, shared
-// spill-to-disk window cache — and publishes its completed records as one
-// shard segment.  The coordinator merges surviving segments into a single
-// standard journal in global window-index order and replays it through the
-// unmodified restore path: residual windows (worker died, segment torn)
-// are simply journal misses and recompute in-process, then STA runs once.
+// spill-to-disk window cache — and that journal is the only record it
+// leaves.  The coordinator reads every worker journal read-only, merges
+// the records into a single standard journal in global window-index order
+// and replays it through the unmodified restore path: residual windows
+// (worker died, journal tail torn) are simply journal misses and recompute
+// in-process, then STA runs once.
 //
 // Determinism: the merged restore is bit-identical to an uninterrupted
 // 1-worker run — same TimingComparison (worst slack, annotations, health)
@@ -36,13 +37,13 @@ namespace poc {
 std::string shard_worker_dir(const std::string& work_dir,
                              std::uint32_t worker);
 
-/// Worker-side stats published next to the segment ("run.w00.stats"), one
+/// Worker-side stats file in the work dir ("run.w00.stats"), one
 /// "key value" line each — the bench harness and smoke scripts parse them.
 std::string shard_stats_name(std::uint32_t worker);
 
 struct ShardWorkerOptions {
   ShardSpec spec;
-  std::string work_dir;  ///< shared run directory (segments, cache, w<NN>/)
+  std::string work_dir;  ///< shared run directory (stats, cache, w<NN>/)
   OpcMode opc_mode = OpcMode::kModelBased;
   Exposure exposure;  ///< the exposure the coordinator will compare at
   /// Crash hook passed to the worker's journal (see JournalOptions): after
@@ -95,11 +96,10 @@ ShardWorkerStats parse_shard_stats(const std::string& path);
 
 /// Runs one worker's share of the flow: OPC over the shard's instance
 /// windows, extraction over the gates those instances carry, every
-/// completed window journaled to the worker's private write-ahead journal,
-/// then the journal's records published as "<work_dir>/run.wNN.seg" (temp
-/// + atomic rename) with per-worker stats beside it.  Returns false when
-/// the segment could not be published (the run itself is already durable
-/// in the private journal, which the coordinator salvages).
+/// completed window journaled to the worker's private write-ahead journal
+/// ("<work_dir>/wNN/journal"), then the per-worker stats file.  The journal
+/// is what the coordinator merges.  Returns false when the stats file
+/// could not be written.
 bool run_shard_worker(const PlacedDesign& design, const StdCellLibrary& lib,
                       const LithoSimulator& sim, FlowOptions base,
                       const ShardWorkerOptions& options);
@@ -121,7 +121,7 @@ inline constexpr std::uint32_t kNoStallWorker = ~std::uint32_t{0};
 struct ShardFlowOptions {
   std::size_t workers = 1;
   ShardPolicy policy = ShardPolicy::kContiguous;
-  /// Run directory: worker segments + stats, per-worker journal dirs, the
+  /// Run directory: worker stats files, per-worker journal dirs, the
   /// shared disk cache ("cache/"), and the merged journal ("merged/").
   /// Use a fresh directory per run.
   std::string work_dir;
@@ -133,7 +133,7 @@ struct ShardFlowOptions {
   /// Builds the argv for one worker process (fork/exec path — see
   /// examples/shard_worker.cpp, which re-execs itself in worker mode).
   /// Null runs every worker in-process on its own thread instead: same
-  /// shard/segment/merge machinery, no process isolation — the mode the
+  /// shard/journal/merge machinery, no process isolation — the mode the
   /// unit tests and the TSan leg use.
   std::function<std::vector<std::string>(const ShardSpec&)> worker_command;
   /// Self-healing: heartbeat-driven stall detection, kill + bounded
@@ -156,10 +156,10 @@ struct ShardFlowResult {
   /// recompute.  Bit-identical across worker counts.
   TimingComparison comparison;
   /// Out-of-band shard faults (phase "shard", index = worker id): worker
-  /// died, segment missing/torn, records salvaged from a private journal.
-  /// Deliberately NOT merged into comparison.health.
+  /// died, stalled or was signalled, journal missing, one per journal
+  /// replay issue.  Deliberately NOT merged into comparison.health.
   FlowHealth shard_health;
-  /// Per-worker segment collection detail (torn/salvaged/record counts).
+  /// Per-worker journal replay detail (found flag, record counts, issues).
   MergeResult merge;
   /// Final exit status per worker attempt-chain, both modes (in-process
   /// workers report exit_code 0/1 for ok/failed).  Redistribution
@@ -184,7 +184,7 @@ struct ShardFlowResult {
   PostOpcFlow::FlowCacheCounters cache;
 };
 
-/// Full sharded run: partition -> spawn workers -> collect/merge segments
+/// Full sharded run: partition -> spawn workers -> merge worker journals
 /// (tolerating dead workers and torn tails) -> merged replay + residual
 /// recompute -> one final STA.  `base` carries the flow config (the same
 /// options a 1-worker PostOpcFlow run would use); its journal/cache paths

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -19,7 +18,6 @@
 namespace poc {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 bool fp_less(const JournalRecord& a, const JournalRecord& b) {
@@ -308,90 +306,25 @@ SupervisionResult supervise_worker_processes(
   return supervise_tasks(tasks, options);
 }
 
-std::vector<WorkerExit> run_worker_processes(
-    const std::vector<WorkerCommand>& commands) {
-  SupervisorOptions options;  // defaults: no watchdog, no forwarding
-  return supervise_worker_processes(commands, options).exits;
-}
-
-MergeResult collect_and_merge_segments(
-    const std::string& work_dir, std::size_t workers,
-    const Fingerprint& config_fp,
-    const std::vector<std::string>& salvage_journal_dirs) {
-  std::vector<std::uint32_t> ids(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    ids[w] = static_cast<std::uint32_t>(w);
-  }
-  return collect_and_merge_segments(work_dir, ids, config_fp,
-                                    salvage_journal_dirs);
-}
-
-MergeResult collect_and_merge_segments(
-    const std::string& work_dir, const std::vector<std::uint32_t>& worker_ids,
-    const Fingerprint& config_fp,
-    const std::vector<std::string>& salvage_journal_dirs) {
+MergeResult merge_worker_journals(const std::vector<WorkerJournal>& journals,
+                                  const Fingerprint& config_fp) {
   MergeResult merged;
   std::unordered_set<Fingerprint, FingerprintHash> seen;
-
-  for (std::size_t w = 0; w < worker_ids.size(); ++w) {
+  for (const WorkerJournal& journal : journals) {
+    JournalReplay replay = journal_io::replay_dir(journal.dir, config_fp);
     WorkerSegmentOutcome outcome;
-    outcome.worker = worker_ids[w];
-    outcome.segment_path = work_dir + "/" + shard_segment_name(worker_ids[w]);
-
-    std::vector<JournalRecord> records;
-    std::error_code ec;
-    const bool exists = fs::exists(outcome.segment_path, ec) && !ec;
-    if (exists) {
-      const ShardReadResult read =
-          read_shard_segment(outcome.segment_path, config_fp, &records);
-      outcome.segment_found = read.header_ok && read.config_ok;
-      outcome.torn = read.torn;
-      outcome.issues = read.issues;
-      if (read.torn) {
-        // Truncate-and-seal the valid prefix (mirrors journal reopen);
-        // replay above already skipped the tail either way.
-        if (!seal_shard_segment(outcome.segment_path, read)) {
-          outcome.issues.push_back(
-              {FaultCode::kJournalIo, outcome.segment_path, read.valid_bytes,
-               "cannot truncate torn worker segment"});
-        }
-      }
-      if (!outcome.segment_found) records.clear();
-    }
-
-    // A worker that died before publishing its segment still left a
-    // write-ahead journal: replaying it through RunJournal truncates any
-    // torn tail and yields every durably completed window.
-    if (!outcome.segment_found && w < salvage_journal_dirs.size() &&
-        !salvage_journal_dirs[w].empty()) {
-      std::error_code ec2;
-      if (fs::exists(salvage_journal_dirs[w], ec2) && !ec2) {
-        try {
-          JournalOptions opts;
-          opts.enabled = true;
-          opts.path = salvage_journal_dirs[w];
-          RunJournal salvage(opts, config_fp);
-          records = salvage.loaded_records();
-          outcome.salvaged = true;
-          for (const ReplayIssue& issue : salvage.issues()) {
-            outcome.issues.push_back(issue);
-          }
-        } catch (const FlowException& e) {
-          outcome.issues.push_back({FaultCode::kJournalIo,
-                                    salvage_journal_dirs[w], 0,
-                                    e.error().to_string()});
-        }
-      }
-    }
-
-    for (JournalRecord& rec : records) {
+    outcome.worker = journal.worker;
+    outcome.journal_dir = journal.dir;
+    outcome.found = replay.found;
+    outcome.records = replay.records.size();
+    outcome.issues = std::move(replay.issues);
+    for (JournalRecord& rec : replay.records) {
       if (!seen.insert(rec.fp).second) {
         ++merged.duplicate_records;
         continue;
       }
       merged.records.push_back(std::move(rec));
     }
-    outcome.records = records.size();
     merged.workers.push_back(std::move(outcome));
   }
 
@@ -399,14 +332,6 @@ MergeResult collect_and_merge_segments(
   // journal indistinguishable from a 1-worker one.
   std::sort(merged.records.begin(), merged.records.end(), fp_less);
   return merged;
-}
-
-bool write_merged_journal(const std::string& merge_dir,
-                          const Fingerprint& config_fp,
-                          const std::vector<JournalRecord>& records,
-                          std::string* error) {
-  return journal_io::write_sealed_segment(merge_dir, /*seq=*/1, config_fp,
-                                          records, error);
 }
 
 }  // namespace poc

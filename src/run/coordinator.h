@@ -1,7 +1,7 @@
 // Coordinator side of sharded multi-process runs: spawn worker processes,
-// wait for them, collect their shard segments (tolerating death and torn
-// files), and merge every surviving record into one standard journal that
-// the flow's existing restore path replays.
+// wait for them, read every worker's private journal back (tolerating
+// death and torn tails), and merge the surviving records into one standard
+// journal that the flow's existing restore path replays.
 //
 // The coordinator is deliberately flow-agnostic — it moves journal records
 // and processes around, never window results — so it lives beside the
@@ -10,10 +10,10 @@
 // restore, and re-times once.
 //
 // Failure model: a worker that dies (crash, kill -9, nonzero exit) is a
-// contained fault, not a run abort.  Its published segment — or, when it
-// never published, its private write-ahead journal — is read back through
-// the same torn-tail-tolerant scanner journal replay uses; the valid
-// prefix merges, the tear is truncate-and-sealed and reported, and every
+// contained fault, not a run abort.  Its journal is read like every other
+// worker's, read-only, through journal_io::replay_dir — the scanner the
+// journal's own reopen uses: the valid prefix merges, a tear is reported
+// (and left on disk for the worker's next reopen to seal), and every
 // window the worker did not durably finish is recomputed in-process by the
 // merged restore (the journal simply misses those fingerprints).
 #pragma once
@@ -27,7 +27,6 @@
 
 #include "src/cache/fingerprint.h"
 #include "src/run/journal.h"
-#include "src/run/shard.h"
 
 namespace poc {
 
@@ -47,19 +46,12 @@ struct WorkerExit {
   bool ok() const { return spawned && signal == 0 && exit_code == 0; }
 };
 
-/// fork/execs every command and waits for all of them.  Workers run
-/// concurrently; a spawn failure is reported in the result, never thrown.
-/// Legacy wrapper over supervise_worker_processes with the watchdog and
-/// signal forwarding off — fail-and-salvage semantics.
-std::vector<WorkerExit> run_worker_processes(
-    const std::vector<WorkerCommand>& commands);
-
 // ---------------------------------------------------------------------------
 // Supervision: watchdog, bounded respawn, signal forwarding.
 
-/// Knobs of the supervision loop.  Defaults are fail-and-salvage (PR 8
-/// semantics): no watchdog, no forwarding — a dead worker's windows become
-/// residual work.
+/// Knobs of the supervision loop.  Defaults supervise nothing: no
+/// watchdog, no forwarding — a dead worker stays dead, and the windows it
+/// did not journal become residual work.
 struct SupervisorOptions {
   /// Detect stalled workers via the progress callback and kill/respawn
   /// them.  Requires `progress`.
@@ -147,14 +139,20 @@ SupervisionResult supervise_worker_processes(
     const std::vector<WorkerCommand>& commands,
     const SupervisorOptions& options);
 
-/// What the coordinator found for one worker while collecting segments.
+/// One worker's private journal directory, as the coordinator reads it.
+struct WorkerJournal {
+  std::uint32_t worker = 0;
+  std::string dir;
+};
+
+/// What the coordinator found in one worker's journal.
 struct WorkerSegmentOutcome {
   std::uint32_t worker = 0;
-  std::string segment_path;
-  bool segment_found = false;  ///< run.wNN.seg existed with a valid header
-  bool torn = false;           ///< tail truncated-and-sealed
-  bool salvaged = false;       ///< records came from the private journal
-  std::size_t records = 0;     ///< records this worker contributed
+  std::string journal_dir;
+  bool found = false;        ///< the journal directory existed
+  std::size_t records = 0;   ///< valid records this worker contributed
+  /// Replay issues: rejected segments and records, a torn tail, or the
+  /// missing directory itself.
   std::vector<ReplayIssue> issues;
 };
 
@@ -167,33 +165,11 @@ struct MergeResult {
   std::size_t duplicate_records = 0;  ///< same fingerprint from two sources
 };
 
-/// Collects all worker segments under `work_dir` (files named
-/// shard_segment_name(w); workers that died may instead leave a private
-/// journal at work_dir/w<NN>/journal — pass its path via
-/// `salvage_journal_dirs[w]`, empty to skip salvage) and merges them.
-/// Records whose config fingerprint does not match `config_fp` are
-/// rejected segment-wholesale, exactly like journal replay.
-MergeResult collect_and_merge_segments(
-    const std::string& work_dir, std::size_t workers,
-    const Fingerprint& config_fp,
-    const std::vector<std::string>& salvage_journal_dirs);
-
-/// Same, for an explicit worker-id list (not necessarily 0..N-1): the
-/// self-healing driver re-merges after spawning redistribution sub-shards
-/// whose ids continue past the original worker count.
-/// `salvage_journal_dirs` is positional against `worker_ids`.
-MergeResult collect_and_merge_segments(
-    const std::string& work_dir, const std::vector<std::uint32_t>& worker_ids,
-    const Fingerprint& config_fp,
-    const std::vector<std::string>& salvage_journal_dirs);
-
-/// Writes merged records as the single sealed segment of a fresh journal
-/// directory at `merge_dir` (existing segments there are left alone; use a
-/// clean directory per merge).  The flow then restores by pointing its
-/// JournalOptions at `merge_dir`.
-bool write_merged_journal(const std::string& merge_dir,
-                          const Fingerprint& config_fp,
-                          const std::vector<JournalRecord>& records,
-                          std::string* error);
+/// Replays every worker journal read-only (journal_io::replay_dir against
+/// `config_fp`: segments from another config are rejected wholesale, a
+/// torn tail keeps its valid prefix), deduplicates by fingerprint and
+/// sorts by (phase, index, fingerprint).  Touches nothing on disk.
+MergeResult merge_worker_journals(const std::vector<WorkerJournal>& journals,
+                                  const Fingerprint& config_fp);
 
 }  // namespace poc

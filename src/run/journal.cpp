@@ -123,10 +123,7 @@ void sync_directory(const std::string& path) {
   ::close(fd);
 }
 
-}  // namespace
-
-namespace journal_io {
-
+/// Appends one framed record to `out`.
 void append_record_frame(std::vector<std::uint8_t>& out,
                          const JournalRecord& rec) {
   ByteWriter w;
@@ -135,6 +132,11 @@ void append_record_frame(std::vector<std::uint8_t>& out,
   out.insert(out.end(), encoded.begin(), encoded.end());
 }
 
+/// Scans record frames in data[start, size), appending every valid record
+/// to `out` and one ReplayIssue per reject.  Returns the end offset of the
+/// last fully valid record — the truncate-and-seal point for a torn tail.
+/// Mid-stream checksum rejects skip the record and keep scanning (the
+/// frame length still delimits it); a bad marker or partial frame stops.
 std::size_t scan_record_frames(const std::uint8_t* data, std::size_t size,
                                std::size_t start,
                                const std::string& segment_name,
@@ -186,6 +188,104 @@ std::size_t scan_record_frames(const std::uint8_t* data, std::size_t size,
     out->push_back(std::move(rec));
   }
   return valid_end;
+}
+
+/// Replays the segment file `dir`/`segment.name` into `replay` and records
+/// where its valid records end.
+void replay_segment(const std::string& dir, const Fingerprint& config_fp,
+                    JournalReplay::Segment& segment, JournalReplay& replay) {
+  const std::string& name = segment.name;
+  const std::string path = dir + "/" + name;
+
+  // Read the whole segment: journal segments are bounded by segment_bytes
+  // and replay happens once per run.
+  std::vector<std::uint8_t> bytes;
+  {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+      replay.issues.push_back({FaultCode::kJournalIo, name, 0,
+                               std::string("cannot open segment: ") +
+                                   std::strerror(errno)});
+      return;
+    }
+    std::uint8_t chunk[1 << 16];
+    ssize_t got;
+    while ((got = ::read(fd, chunk, sizeof chunk)) > 0) {
+      bytes.insert(bytes.end(), chunk, chunk + got);
+    }
+    ::close(fd);
+    if (got < 0) {
+      replay.issues.push_back({FaultCode::kJournalIo, name, 0,
+                               std::string("cannot read segment: ") +
+                                   std::strerror(errno)});
+      return;
+    }
+  }
+
+  // Header: reject the whole segment when the magic/version/CRC or the
+  // config fingerprint does not match — records produced under different
+  // flow options must never be replayed into this run.
+  const char* reject = nullptr;
+  if (bytes.size() < kHeaderBytes) {
+    reject = "segment shorter than its header";
+  } else {
+    ByteReader h(bytes.data(), kHeaderBytes);
+    const std::uint64_t magic = h.u64();
+    const std::uint32_t version = h.u32();
+    h.u32();  // reserved
+    Fingerprint fp;
+    fp.hi = h.u64();
+    fp.lo = h.u64();
+    const std::uint64_t stored_crc = h.u64();
+    if (magic != kSegmentMagic || version != kFormatVersion ||
+        stored_crc != crc64(bytes.data(), kHeaderBytes - 8)) {
+      reject = "bad segment header (magic/version/checksum)";
+    } else if (fp != config_fp) {
+      reject =
+          "config fingerprint mismatch: segment was written under "
+          "different flow options";
+    }
+  }
+  if (reject != nullptr) {
+    replay.issues.push_back({FaultCode::kJournalMismatch, name, 0, reject});
+    return;
+  }
+  segment.valid_bytes =
+      scan_record_frames(bytes.data(), bytes.size(), kHeaderBytes, name,
+                         &replay.records, &replay.issues);
+  segment.torn = segment.valid_bytes < bytes.size();
+}
+
+}  // namespace
+
+namespace journal_io {
+
+JournalReplay replay_dir(const std::string& dir,
+                         const Fingerprint& config_fp) {
+  JournalReplay replay;
+  std::error_code ec;
+  replay.found = fs::is_directory(dir, ec);
+  if (!replay.found) {
+    replay.issues.push_back(
+        {FaultCode::kJournalIo, dir, 0, "journal directory missing"});
+    return replay;
+  }
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    JournalReplay::Segment segment;
+    segment.name = entry.path().filename().string();
+    const std::uint64_t seq = parse_seq(segment.name, &segment.active);
+    if (seq == 0) continue;
+    replay.next_seq = std::max(replay.next_seq, seq + 1);
+    replay.segments.push_back(std::move(segment));
+  }
+  // Sequence numbers are fixed-width, so name order is sequence order.
+  std::sort(replay.segments.begin(), replay.segments.end(),
+            [](const JournalReplay::Segment& a,
+               const JournalReplay::Segment& b) { return a.name < b.name; });
+  for (JournalReplay::Segment& segment : replay.segments) {
+    replay_segment(dir, config_fp, segment, replay);
+  }
+  return replay;
 }
 
 bool write_sealed_segment(const std::string& dir, std::uint64_t seq,
@@ -261,35 +361,21 @@ RunJournal::RunJournal(const JournalOptions& options, Fingerprint config_fp)
                      ": " + ec.message());
   }
 
-  // Replay existing segments in sequence order; the previous run's active
-  // segment (at most one) is replayed last and sealed afterwards.
-  std::vector<std::pair<std::uint64_t, std::string>> sealed;
-  std::string active;
-  std::uint64_t active_seq = 0;
-  for (const fs::directory_entry& entry : fs::directory_iterator(options_.path, ec)) {
-    bool is_active = false;
-    const std::string name = entry.path().filename().string();
-    const std::uint64_t seq = parse_seq(name, &is_active);
-    if (seq == 0) continue;
-    next_seq_ = std::max(next_seq_, seq + 1);
-    if (is_active) {
-      // Two .open files would mean a previous seal was interrupted between
-      // creating the new segment and renaming the old one; replay both,
-      // seal both.
-      if (!active.empty()) sealed.emplace_back(active_seq, active);
-      active = name;
-      active_seq = seq;
-    } else {
-      sealed.emplace_back(seq, name);
-    }
+  JournalReplay replay = journal_io::replay_dir(options_.path, config_fp_);
+  issues_ = std::move(replay.issues);
+  stats_.rejected_records = static_cast<std::size_t>(
+      std::count_if(issues_.begin(), issues_.end(), [](const ReplayIssue& i) {
+        return i.code == FaultCode::kJournalMismatch;
+      }));
+  for (JournalRecord& rec : replay.records) {
+    const Fingerprint fp = rec.fp;
+    if (loaded_.emplace(fp, std::move(rec)).second) ++stats_.loaded_records;
   }
-  std::sort(sealed.begin(), sealed.end());
-  for (const auto& [seq, name] : sealed) {
-    (void)seq;
-    load_segment(name, /*active=*/false);
+  stats_.segments = replay.segments.size();
+  next_seq_ = replay.next_seq;
+  for (const JournalReplay::Segment& segment : replay.segments) {
+    if (segment.active) seal_previous_segment(segment);
   }
-  if (!active.empty()) load_segment(active, /*active=*/true);
-  stats_.segments = sealed.size() + (active.empty() ? 0 : 1);
 
   open_active_segment();
 }
@@ -303,103 +389,26 @@ RunJournal::~RunJournal() {
   }
 }
 
-void RunJournal::load_segment(const std::string& name, bool active) {
-  const std::string path = options_.path + "/" + name;
-
-  // Read the whole segment: journal segments are bounded by segment_bytes
-  // and replay happens once per run.
-  std::vector<std::uint8_t> bytes;
-  {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      issues_.push_back({FaultCode::kJournalIo, name, 0,
-                         std::string("cannot open segment: ") +
-                             std::strerror(errno)});
-      return;
-    }
-    std::uint8_t chunk[1 << 16];
-    ssize_t got;
-    while ((got = ::read(fd, chunk, sizeof chunk)) > 0) {
-      bytes.insert(bytes.end(), chunk, chunk + got);
-    }
-    ::close(fd);
-    if (got < 0) {
-      issues_.push_back({FaultCode::kJournalIo, name, 0,
-                         std::string("cannot read segment: ") +
-                             std::strerror(errno)});
-      return;
-    }
-  }
-
-  // Header: reject the whole segment when the magic/version/CRC or the
-  // config fingerprint does not match — records produced under different
-  // flow options must never be replayed into this run.
-  bool config_ok = false;
-  std::size_t valid_end = 0;
-  if (bytes.size() < kHeaderBytes) {
-    issues_.push_back({FaultCode::kJournalMismatch, name, 0,
-                       "segment shorter than its header"});
-    ++stats_.rejected_records;
-  } else {
-    ByteReader h(bytes.data(), kHeaderBytes);
-    const std::uint64_t magic = h.u64();
-    const std::uint32_t version = h.u32();
-    h.u32();  // reserved
-    Fingerprint fp;
-    fp.hi = h.u64();
-    fp.lo = h.u64();
-    const std::uint64_t stored_crc = h.u64();
-    const std::uint64_t actual_crc = crc64(bytes.data(), kHeaderBytes - 8);
-    if (magic != kSegmentMagic || version != kFormatVersion ||
-        stored_crc != actual_crc) {
-      issues_.push_back({FaultCode::kJournalMismatch, name, 0,
-                         "bad segment header (magic/version/checksum)"});
-      ++stats_.rejected_records;
-    } else if (fp != config_fp_) {
-      issues_.push_back(
-          {FaultCode::kJournalMismatch, name, 0,
-           "config fingerprint mismatch: segment was written under "
-           "different flow options"});
-      ++stats_.rejected_records;
-    } else {
-      config_ok = true;
-      valid_end = kHeaderBytes;
-    }
-  }
-
-  if (config_ok) {
-    std::vector<JournalRecord> records;
-    const std::size_t before = issues_.size();
-    valid_end = journal_io::scan_record_frames(
-        bytes.data(), bytes.size(), kHeaderBytes, name, &records, &issues_);
-    stats_.rejected_records += issues_.size() - before;
-    for (JournalRecord& rec : records) {
-      const Fingerprint fp = rec.fp;
-      if (loaded_.emplace(fp, std::move(rec)).second) {
-        ++stats_.loaded_records;
-      }
-    }
-  }
-
-  if (!active) return;
-
-  // Seal the previous run's active segment: drop any torn tail past the
-  // last valid record, then atomically rename .open -> .seg.  A crash
-  // between truncate and rename just repeats this step on the next open.
+void RunJournal::seal_previous_segment(const JournalReplay::Segment& segment) {
+  // Drop any torn tail past the last valid record, then atomically rename
+  // .open -> .seg.  A crash between truncate and rename just repeats this
+  // step on the next open.
+  const std::string path = options_.path + "/" + segment.name;
   fault::Scope io_scope(fault::Domain::kJournalIo, io_ops_++);
-  if (config_ok && valid_end < bytes.size()) {
-    if (vfs::truncate(path.c_str(), static_cast<off_t>(valid_end)) != 0) {
-      issues_.push_back({FaultCode::kJournalIo, name, valid_end,
-                         std::string("cannot truncate torn tail: ") +
-                             std::strerror(errno)});
-      return;  // keep the file as-is; replay already skipped the tail
-    }
+  if (segment.torn &&
+      vfs::truncate(path.c_str(), static_cast<off_t>(segment.valid_bytes)) !=
+          0) {
+    issues_.push_back({FaultCode::kJournalIo, segment.name,
+                       segment.valid_bytes,
+                       std::string("cannot truncate torn tail: ") +
+                           std::strerror(errno)});
+    return;  // keep the file as-is; replay already skipped the tail
   }
-  std::string sealed_name = name;
+  std::string sealed_name = segment.name;
   sealed_name.replace(sealed_name.size() - 5, 5, ".seg");
   const std::string sealed_path = options_.path + "/" + sealed_name;
   if (vfs::rename(path.c_str(), sealed_path.c_str()) != 0) {
-    issues_.push_back({FaultCode::kJournalIo, name, 0,
+    issues_.push_back({FaultCode::kJournalIo, segment.name, 0,
                        std::string("cannot seal segment: ") +
                            std::strerror(errno)});
     return;
@@ -449,10 +458,7 @@ bool RunJournal::append(JournalRecord record) {
       return false;  // already durable (replayed or appended this run)
     }
 
-    ByteWriter out;
-    encode_record(record, out);
-    const std::vector<std::uint8_t>& encoded = out.data();
-    buffer_.insert(buffer_.end(), encoded.begin(), encoded.end());
+    append_record_frame(buffer_, record);
     ++buffered_records_;
     ++stats_.appended_records;
     total = stats_.appended_records;
@@ -552,20 +558,6 @@ void RunJournal::io_failure_locked(const std::string& what) {
 RunJournal::Stats RunJournal::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-std::vector<JournalRecord> RunJournal::loaded_records() const {
-  std::vector<JournalRecord> out;
-  out.reserve(loaded_.size());
-  for (const auto& [fp, rec] : loaded_) out.push_back(rec);
-  std::sort(out.begin(), out.end(),
-            [](const JournalRecord& a, const JournalRecord& b) {
-              if (a.phase != b.phase) return a.phase < b.phase;
-              if (a.index != b.index) return a.index < b.index;
-              if (a.fp.hi != b.fp.hi) return a.fp.hi < b.fp.hi;
-              return a.fp.lo < b.fp.lo;
-            });
-  return out;
 }
 
 }  // namespace poc

@@ -24,6 +24,10 @@
 //     torn tail (SIGKILL mid-write) is truncated away and reported, and
 //     the file is sealed by the same atomic rename.
 //
+// Replay itself is one read-only reader, journal_io::replay_dir: the
+// reopen runs it before sealing, and the shard coordinator runs it over
+// every worker's journal without touching the files.
+//
 // Failure policy: open-time I/O errors throw FlowException(kJournalIo) —
 // the caller decides whether a run may proceed without durability.  Append
 // -time I/O errors never perturb flow results: the journal goes inert,
@@ -102,31 +106,40 @@ struct ReplayIssue {
   std::string detail;
 };
 
-/// Segment-file primitives shared by RunJournal and the shard worker
-/// segments (src/run/shard): the record frame codec, a tolerant frame
-/// scanner, and a sealed-standard-segment writer for the coordinator's
-/// merge step.  Framing is [marker "PRC1", body length, body, crc64(body)].
+/// Everything a read-only replay of one journal directory found: the
+/// valid records of every segment, each segment's scan outcome, and every
+/// rejected record or segment.
+struct JournalReplay {
+  struct Segment {
+    std::string name;             ///< file name, e.g. journal-000003.open
+    bool active = false;          ///< an unsealed .open segment
+    bool torn = false;            ///< valid records end before the file does
+    std::size_t valid_bytes = 0;  ///< end of the last valid record
+  };
+  bool found = false;                  ///< the directory exists
+  std::vector<Segment> segments;       ///< sequence order
+  std::vector<JournalRecord> records;  ///< valid records, replay order
+  std::vector<ReplayIssue> issues;     ///< in discovery order
+  std::uint64_t next_seq = 1;  ///< one past the highest segment number
+};
+
+/// The journal format's reader and its one writer outside RunJournal.
+/// Framing is [marker "PRC1", body length, body, crc64(body)].
 namespace journal_io {
 
-/// Appends one framed record to `out` (a ByteWriter-compatible buffer).
-void append_record_frame(std::vector<std::uint8_t>& out,
-                         const JournalRecord& rec);
-
-/// Scans record frames in data[start, size), appending every valid record
-/// to `out` and one ReplayIssue per reject.  Returns the end offset of the
-/// last fully valid record — the truncate-and-seal point for a torn tail.
-/// Mid-stream checksum rejects skip the record and keep scanning (the
-/// frame length still delimits it); a bad marker or partial frame stops.
-std::size_t scan_record_frames(const std::uint8_t* data, std::size_t size,
-                               std::size_t start,
-                               const std::string& segment_name,
-                               std::vector<JournalRecord>* out,
-                               std::vector<ReplayIssue>* issues);
+/// Replays every segment under `dir` in sequence order: the header's
+/// magic, version and checksum, the config fingerprint against
+/// `config_fp` (a mismatch rejects the segment wholesale), then each
+/// record frame.  A checksum reject skips one record; a bad marker or a
+/// partial frame ends the segment, keeping its valid prefix.  Creates,
+/// truncates, renames and syncs nothing: a missing directory comes back
+/// with found = false and one kJournalIo issue.
+JournalReplay replay_dir(const std::string& dir, const Fingerprint& config_fp);
 
 /// Writes `records` as one sealed standard journal segment
 /// (journal-<seq>.seg with the standard config-stamped header) under
-/// `dir`, via temp-file + atomic rename.  The coordinator uses this to
-/// materialize the merged, global-window-index-ordered journal that the
+/// `dir`, via temp-file + atomic rename.  The shard coordinator uses this
+/// to materialize the merged, global-window-index-ordered journal that the
 /// final restore replays.  False (with `error` set) on I/O failure.
 bool write_sealed_segment(const std::string& dir, std::uint64_t seq,
                           const Fingerprint& config_fp,
@@ -138,8 +151,8 @@ bool write_sealed_segment(const std::string& dir, std::uint64_t seq,
 class RunJournal {
  public:
   /// Opens `options.path` (creating it if needed), replays every segment
-  /// against `config_fp`, seals the previous active segment, and starts a
-  /// new one for this run's appends.  Throws FlowException(kJournalIo)
+  /// against `config_fp` through journal_io::replay_dir, seals the previous
+  /// run's active segment, and starts a new one for this run's appends.  Throws FlowException(kJournalIo)
   /// when the directory or active segment cannot be created.
   RunJournal(const JournalOptions& options, Fingerprint config_fp);
   ~RunJournal();
@@ -178,15 +191,10 @@ class RunJournal {
   /// Replay problems (rejected records, I/O failures), in discovery order.
   const std::vector<ReplayIssue>& issues() const { return issues_; }
 
-  /// Every record replayed at open, sorted by (phase, index).  The shard
-  /// coordinator salvages a dead worker's private journal through this —
-  /// constructing the journal already truncate-and-sealed any torn tail.
-  std::vector<JournalRecord> loaded_records() const;
-
   const std::string& path() const { return options_.path; }
 
  private:
-  void load_segment(const std::string& name, bool active);
+  void seal_previous_segment(const JournalReplay::Segment& segment);
   void open_active_segment();
   void seal_active_locked();
   void write_buffer_locked(bool sync);

@@ -1,45 +1,10 @@
 #include "src/run/shard.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 
 #include "src/common/check.h"
-#include "src/common/fault.h"
-#include "src/common/serialize.h"
-#include "src/common/vfs.h"
 
 namespace poc {
-namespace {
-
-// Shard segment header: magic "POCSHRD1", format version, worker id,
-// worker count, policy, shard range, config fingerprint, crc64 over the
-// preceding fields.  56 payload bytes + 8 CRC bytes.
-constexpr std::uint64_t kShardMagic = 0x314452485343'4F50ULL;  // "POCSHRD1"
-constexpr std::uint32_t kShardVersion = 1;
-constexpr std::size_t kShardHeaderBytes = 64;
-
-std::vector<std::uint8_t> encode_shard_header(const ShardSegmentHeader& h) {
-  ByteWriter w;
-  w.u64(kShardMagic);
-  w.u32(kShardVersion);
-  w.u32(h.worker);
-  w.u32(h.workers);
-  w.u32(static_cast<std::uint32_t>(h.policy));
-  w.u64(h.lo);
-  w.u64(h.hi);
-  w.u64(h.config_fp.hi);
-  w.u64(h.config_fp.lo);
-  w.u64(crc64(w.data()));
-  return w.take();
-}
-
-}  // namespace
 
 const char* shard_policy_name(ShardPolicy policy) {
   switch (policy) {
@@ -138,119 +103,6 @@ bool shard_owns(const ShardSpec& spec, std::size_t index) {
   if (index < spec.lo || index >= spec.hi) return false;
   if (spec.policy == ShardPolicy::kContiguous) return true;
   return index % spec.workers == shard_residue_class(spec);
-}
-
-std::string shard_segment_name(std::uint32_t worker) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "run.w%02u.seg", worker);
-  return buf;
-}
-
-bool write_shard_segment(const std::string& path,
-                         const ShardSegmentHeader& header,
-                         const std::vector<JournalRecord>& records,
-                         std::string* error) {
-  std::vector<std::uint8_t> bytes = encode_shard_header(header);
-  for (const JournalRecord& rec : records) {
-    journal_io::append_record_frame(bytes, rec);
-  }
-  const std::string tmp_path = path + ".tmp";
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    if (error != nullptr) {
-      *error = "cannot create " + tmp_path + ": " + std::strerror(errno);
-    }
-    return false;
-  }
-  fault::Scope io_scope(fault::Domain::kSegmentIo, header.worker);
-  const bool wrote = vfs::write_all(fd, bytes.data(), bytes.size()) &&
-                     vfs::fsync(fd) == 0;
-  ::close(fd);
-  if (!wrote || vfs::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    if (error != nullptr) {
-      *error = "cannot publish " + path + ": " + std::strerror(errno);
-    }
-    ::unlink(tmp_path.c_str());
-    return false;
-  }
-  return true;
-}
-
-ShardReadResult read_shard_segment(const std::string& path,
-                                   const Fingerprint& expect_config,
-                                   std::vector<JournalRecord>* out) {
-  ShardReadResult result;
-  const std::string name = path;
-
-  std::vector<std::uint8_t> bytes;
-  {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      result.issues.push_back({FaultCode::kJournalIo, name, 0,
-                               std::string("cannot open worker segment: ") +
-                                   std::strerror(errno)});
-      return result;
-    }
-    std::uint8_t chunk[1 << 16];
-    ssize_t got;
-    while ((got = ::read(fd, chunk, sizeof chunk)) > 0) {
-      bytes.insert(bytes.end(), chunk, chunk + got);
-    }
-    ::close(fd);
-    if (got < 0) {
-      result.issues.push_back({FaultCode::kJournalIo, name, 0,
-                               std::string("cannot read worker segment: ") +
-                                   std::strerror(errno)});
-      return result;
-    }
-  }
-
-  if (bytes.size() < kShardHeaderBytes) {
-    result.issues.push_back({FaultCode::kJournalMismatch, name, 0,
-                             "worker segment shorter than its header"});
-    return result;
-  }
-  ByteReader h(bytes.data(), kShardHeaderBytes);
-  const std::uint64_t magic = h.u64();
-  const std::uint32_t version = h.u32();
-  result.header.worker = h.u32();
-  result.header.workers = h.u32();
-  result.header.policy = static_cast<ShardPolicy>(h.u32());
-  result.header.lo = h.u64();
-  result.header.hi = h.u64();
-  result.header.config_fp.hi = h.u64();
-  result.header.config_fp.lo = h.u64();
-  const std::uint64_t stored_crc = h.u64();
-  if (magic != kShardMagic || version != kShardVersion ||
-      stored_crc != crc64(bytes.data(), kShardHeaderBytes - 8)) {
-    result.issues.push_back({FaultCode::kJournalMismatch, name, 0,
-                             "bad worker segment header "
-                             "(magic/version/checksum)"});
-    return result;
-  }
-  result.header_ok = true;
-  if (result.header.config_fp != expect_config) {
-    result.issues.push_back(
-        {FaultCode::kJournalMismatch, name, 0,
-         "config fingerprint mismatch: worker segment was written under "
-         "different flow options"});
-    return result;
-  }
-  result.config_ok = true;
-
-  result.valid_bytes = journal_io::scan_record_frames(
-      bytes.data(), bytes.size(), kShardHeaderBytes, name, out,
-      &result.issues);
-  result.torn = result.valid_bytes < bytes.size();
-  return result;
-}
-
-bool seal_shard_segment(const std::string& path,
-                        const ShardReadResult& read) {
-  if (!read.header_ok || !read.torn) return true;
-  fault::Scope io_scope(fault::Domain::kSegmentIo, read.header.worker);
-  return vfs::truncate(path.c_str(),
-                       static_cast<off_t>(read.valid_bytes)) == 0;
 }
 
 }  // namespace poc

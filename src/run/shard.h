@@ -16,22 +16,15 @@
 // records (keyed by content fingerprint, ordered by global window index at
 // merge), never partial aggregates.
 //
-// Worker segments: each worker publishes its completed shard as one
-// `run.wNN.seg` file — a shard-stamped header (magic "POCSHRD1", worker id,
-// shard parameters, the flow config fingerprint) followed by standard
-// journal record frames.  Publication is temp-file + atomic rename, and the
-// reader tolerates a torn tail exactly like journal replay: the valid
-// prefix is kept, the tear is reported, and the missing windows become
-// residual work for the coordinator.
+// A worker leaves one durable record behind: its private write-ahead
+// journal (src/run/journal).  The coordinator replays every worker's
+// journal read-only through the journal's own reader, so a torn tail keeps
+// its valid prefix and the missing windows become residual work.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "src/cache/fingerprint.h"
-#include "src/run/journal.h"
 
 namespace poc {
 
@@ -86,48 +79,5 @@ std::vector<std::size_t> shard_indices(const ShardSpec& spec);
 
 /// True when `index` belongs to `spec`.
 bool shard_owns(const ShardSpec& spec, std::size_t index);
-
-/// Worker segment file name: "run.w00.seg" for worker 0.
-std::string shard_segment_name(std::uint32_t worker);
-
-/// Header stamped at the front of every worker segment.
-struct ShardSegmentHeader {
-  std::uint32_t worker = 0;
-  std::uint32_t workers = 1;
-  ShardPolicy policy = ShardPolicy::kContiguous;
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  Fingerprint config_fp;
-};
-
-/// Outcome of reading one worker segment.
-struct ShardReadResult {
-  bool header_ok = false;   ///< magic/version/CRC valid
-  bool config_ok = false;   ///< config fingerprint matched
-  bool torn = false;        ///< valid prefix ended before the file did
-  std::size_t valid_bytes = 0;  ///< truncate-and-seal point
-  ShardSegmentHeader header;
-  std::vector<ReplayIssue> issues;
-};
-
-/// Writes `records` as a sealed worker segment at `path` (temp + atomic
-/// rename).  False (with `error` set) on I/O failure.
-bool write_shard_segment(const std::string& path,
-                         const ShardSegmentHeader& header,
-                         const std::vector<JournalRecord>& records,
-                         std::string* error);
-
-/// Reads a worker segment, validating the header, the config fingerprint
-/// against `expect_config`, and every record frame.  Valid records append
-/// to `out`; a torn tail keeps the valid prefix and sets result.torn.  A
-/// missing file reports header_ok=false with one kJournalIo issue.
-ShardReadResult read_shard_segment(const std::string& path,
-                                   const Fingerprint& expect_config,
-                                   std::vector<JournalRecord>* out);
-
-/// Truncates a torn worker segment to its valid prefix (the coordinator's
-/// truncate-and-seal step, mirroring journal reopen).  No-op when the file
-/// is already clean.  False on I/O failure.
-bool seal_shard_segment(const std::string& path, const ShardReadResult& read);
 
 }  // namespace poc

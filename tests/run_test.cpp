@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -60,6 +62,18 @@ std::vector<fs::path> journal_files(const fs::path& dir) {
     out.push_back(e.path());
   }
   std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every file in `dir` with its bytes: a byte-identity witness for code
+/// that must only read a directory.
+std::map<std::string, std::string> dir_snapshot(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const fs::path& p : journal_files(dir)) {
+    std::ifstream in(p, std::ios::binary);
+    out[p.filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
   return out;
 }
 
@@ -857,7 +871,7 @@ TEST(FlowJournalRejects, BitFlippedRecordIsReportedAndTimingUnaffected) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded multi-process runs: partitioning, segment merge, failure
+// Sharded multi-process runs: partitioning, worker-journal merge, failure
 // containment, and the bit-identity contract across worker counts.
 
 TEST(ShardPartition, EveryIndexOwnedByExactlyOneShard) {
@@ -921,7 +935,7 @@ TEST(ShardMerge, ShuffledArrivalsMergeInGlobalWindowOrderAndDedup) {
   cfg.hi = 0xC0FFEEull;
   cfg.lo = 42;
 
-  // Workers publish records in whatever order their threads finished; the
+  // Workers journal records in whatever order their threads finished; the
   // merge must impose (phase, global window index) order regardless.  The
   // two workers also overlap on one fingerprint (a window both computed):
   // dedup is first-insert-wins, same as the in-memory cache.
@@ -935,24 +949,29 @@ TEST(ShardMerge, ShuffledArrivalsMergeInGlobalWindowOrderAndDedup) {
       synth_record(JournalPhase::kOpc, 1, 1),
       synth_record(JournalPhase::kOpc, 4, 0),  // duplicate of w0's first
   };
-  std::string error;
-  ShardSegmentHeader h0{0, 2, ShardPolicy::kInterleaved, 0, 5, cfg};
-  ShardSegmentHeader h1{1, 2, ShardPolicy::kInterleaved, 0, 5, cfg};
-  ASSERT_TRUE(write_shard_segment((dir.path / shard_segment_name(0)).string(),
-                                  h0, w0, &error))
-      << error;
-  ASSERT_TRUE(write_shard_segment((dir.path / shard_segment_name(1)).string(),
-                                  h1, w1, &error))
-      << error;
+  const std::vector<WorkerJournal> journals = {
+      {0, (dir.path / "w00").string()}, {1, (dir.path / "w01").string()}};
+  for (const WorkerJournal& wj : journals) {
+    JournalOptions opts;
+    opts.enabled = true;
+    opts.path = wj.dir;
+    RunJournal journal(opts, cfg);
+    for (const JournalRecord& rec : wj.worker == 0 ? w0 : w1) {
+      EXPECT_TRUE(journal.append(rec));
+    }
+  }
+  const auto before0 = dir_snapshot(journals[0].dir);
+  const auto before1 = dir_snapshot(journals[1].dir);
 
-  const MergeResult merge =
-      collect_and_merge_segments(dir.path.string(), 2, cfg, {"", ""});
+  const MergeResult merge = merge_worker_journals(journals, cfg);
   EXPECT_EQ(merge.duplicate_records, 1u);
   ASSERT_EQ(merge.records.size(), 5u);
   ASSERT_EQ(merge.workers.size(), 2u);
-  EXPECT_TRUE(merge.workers[0].segment_found);
-  EXPECT_TRUE(merge.workers[1].segment_found);
-  EXPECT_FALSE(merge.workers[0].torn);
+  for (const WorkerSegmentOutcome& wo : merge.workers) {
+    EXPECT_TRUE(wo.found);
+    EXPECT_EQ(wo.records, 3u);
+    EXPECT_TRUE(wo.issues.empty());
+  }
   for (std::size_t i = 1; i < merge.records.size(); ++i) {
     const JournalRecord& a = merge.records[i - 1];
     const JournalRecord& b = merge.records[i];
@@ -967,50 +986,12 @@ TEST(ShardMerge, ShuffledArrivalsMergeInGlobalWindowOrderAndDedup) {
   EXPECT_EQ(merge.records[2].index, 3u);
   EXPECT_EQ(merge.records[3].index, 4u);
   EXPECT_EQ(merge.records[4].phase, JournalPhase::kExtract);
-}
+  EXPECT_EQ(merge.records[1].payload, w1[1].payload);
 
-TEST(ShardMerge, TornSegmentKeepsValidPrefixAndSeals) {
-  TempDir dir("poc_shard_torn_seal");
-  Fingerprint cfg;
-  cfg.hi = 7;
-  cfg.lo = 9;
-  std::vector<JournalRecord> records;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    records.push_back(synth_record(JournalPhase::kOpc, i, 5));
-  }
-  const std::string path = (dir.path / shard_segment_name(0)).string();
-  std::string error;
-  ShardSegmentHeader header{0, 1, ShardPolicy::kContiguous, 0, 3, cfg};
-  ASSERT_TRUE(write_shard_segment(path, header, records, &error)) << error;
-
-  // Tear mid-frame: the last record loses part of its checksum.
-  fs::resize_file(path, fs::file_size(path) - 5);
-
-  std::vector<JournalRecord> out;
-  const ShardReadResult torn = read_shard_segment(path, cfg, &out);
-  EXPECT_TRUE(torn.header_ok);
-  EXPECT_TRUE(torn.config_ok);
-  EXPECT_TRUE(torn.torn);
-  ASSERT_EQ(out.size(), 2u) << "valid prefix must survive the tear";
-  EXPECT_EQ(out[0].fp, records[0].fp);
-  EXPECT_EQ(out[1].payload, records[1].payload);
-
-  // Truncate-and-seal, then a clean re-read of the prefix.
-  ASSERT_TRUE(seal_shard_segment(path, torn));
-  EXPECT_EQ(fs::file_size(path), torn.valid_bytes);
-  std::vector<JournalRecord> again;
-  const ShardReadResult sealed = read_shard_segment(path, cfg, &again);
-  EXPECT_FALSE(sealed.torn);
-  EXPECT_EQ(again.size(), 2u);
-
-  // A segment written under different flow options is rejected wholesale.
-  Fingerprint other = cfg;
-  other.lo ^= 1;
-  std::vector<JournalRecord> rejected;
-  const ShardReadResult mismatch = read_shard_segment(path, other, &rejected);
-  EXPECT_TRUE(mismatch.header_ok);
-  EXPECT_FALSE(mismatch.config_ok);
-  EXPECT_TRUE(rejected.empty());
+  // Merging only reads: both journals are byte-identical afterwards, their
+  // active segments still unsealed.
+  EXPECT_EQ(dir_snapshot(journals[0].dir), before0);
+  EXPECT_EQ(dir_snapshot(journals[1].dir), before1);
 }
 
 TEST(DiskCacheStore, ConcurrentPublishIsFirstInsertWins) {
@@ -1058,11 +1039,43 @@ TEST(DiskCacheStore, ConcurrentPublishIsFirstInsertWins) {
     ASSERT_TRUE(store.get(fp, &got));
     EXPECT_TRUE(got == first || got == second) << "entry must be whole";
   }
+
+  // Two stores on one directory — in-process shard workers share their
+  // cache directory this way — racing on one fingerprint: the same one
+  // winner, and no temp file is left behind.
+  for (int round = 0; round < 8; ++round) {
+    const fs::path shared = dir.path / ("shared" + std::to_string(round));
+    DiskCacheStore store_a(shared.string());
+    DiskCacheStore store_b(shared.string());
+    ASSERT_TRUE(store_a.ok() && store_b.ok());
+    std::atomic<int> wins{0};
+    std::thread a([&] {
+      if (store_a.put(fp, first.data(), first.size())) wins.fetch_add(1);
+    });
+    std::thread b([&] {
+      if (store_b.put(fp, second.data(), second.size())) wins.fetch_add(1);
+    });
+    a.join();
+    b.join();
+    EXPECT_EQ(wins.load(), 1);
+    const DiskCacheStore::Counters ca = store_a.counters();
+    const DiskCacheStore::Counters cb = store_b.counters();
+    EXPECT_EQ(ca.publishes + cb.publishes, 1u);
+    EXPECT_EQ(ca.races_lost + cb.races_lost, 1u);
+    EXPECT_EQ(ca.io_errors + cb.io_errors, 0u);
+    std::vector<std::uint8_t> got_a;
+    std::vector<std::uint8_t> got_b;
+    ASSERT_TRUE(store_a.get(fp, &got_a));
+    ASSERT_TRUE(store_b.get(fp, &got_b));
+    EXPECT_EQ(got_a, got_b);
+    EXPECT_TRUE(got_a == first || got_a == second) << "entry must be whole";
+    EXPECT_EQ(journal_files(shared).size(), 1u) << "only the entry remains";
+  }
 }
 
 TEST(ShardFlow, InProcessWorkersBitIdenticalAcrossWorkerCounts) {
   // worker_command unset runs every worker on its own thread — the same
-  // shard/segment/merge machinery as fork/exec, and the leg TSan covers.
+  // shard/journal/merge machinery as fork/exec, and the leg TSan covers.
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
     TempDir dir("poc_shard_inproc_" + std::to_string(workers));
     ShardFlowOptions so;
@@ -1078,9 +1091,16 @@ TEST(ShardFlow, InProcessWorkersBitIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(result.merge.duplicate_records, 0u);
     ASSERT_EQ(result.merge.workers.size(), workers);
     for (const WorkerSegmentOutcome& wo : result.merge.workers) {
-      EXPECT_TRUE(wo.segment_found);
-      EXPECT_FALSE(wo.torn);
+      EXPECT_TRUE(wo.found);
+      EXPECT_TRUE(wo.issues.empty()) << "worker " << wo.worker;
       EXPECT_GT(wo.records, 0u);
+    }
+    // The worker journals are the only per-worker records: no segment
+    // copies beside the stats files.
+    for (const fs::path& p : journal_files(dir.path)) {
+      const std::string name = p.filename().string();
+      EXPECT_FALSE(name.rfind("run.w", 0) == 0 && p.extension() == ".seg")
+          << name;
     }
   }
 }
@@ -1127,29 +1147,43 @@ TEST(ShardFlow, TornWorkerSegmentRecomputesResidualBitIdentical) {
                                  run_flow_options(2), wo));
   }
 
-  // Tear worker 1's published segment mid-frame and delete its private
-  // journal, so neither the tail record nor salvage can save it — the
-  // coordinator must recompute those windows in the final pass.
-  const fs::path seg1 = dir.path / shard_segment_name(1);
-  ASSERT_TRUE(fs::exists(seg1));
-  fs::resize_file(seg1, fs::file_size(seg1) - 7);
-  fs::remove_all(dir.path / "w01");
+  // Tear worker 1's active journal segment mid-frame: the worker died in
+  // the middle of its last append.
+  const fs::path journal1 =
+      fs::path(shard_worker_dir(dir.path.string(), 1)) / "journal";
+  fs::path active;
+  for (const fs::path& p : journal_files(journal1)) {
+    if (p.extension() == ".open") active = p;
+  }
+  ASSERT_FALSE(active.empty());
+  fs::resize_file(active, fs::file_size(active) - 7);
+  const std::uintmax_t torn_size = fs::file_size(active);
+  const auto before = dir_snapshot(journal1);
 
   Fingerprint config_fp;
   {
     PostOpcFlow probe(design(), lib(), LithoSimulator{}, run_flow_options(1));
     config_fp = probe.config_fingerprint();
   }
-  const MergeResult merge =
-      collect_and_merge_segments(dir.path.string(), 2, config_fp, {"", ""});
+  const std::vector<WorkerJournal> journals = {
+      {0, shard_worker_dir(dir.path.string(), 0) + "/journal"},
+      {1, journal1.string()}};
+  const MergeResult merge = merge_worker_journals(journals, config_fp);
   ASSERT_EQ(merge.workers.size(), 2u);
-  EXPECT_FALSE(merge.workers[0].torn);
-  EXPECT_TRUE(merge.workers[1].torn);
-  EXPECT_GT(merge.records.size(), 0u);
+  EXPECT_TRUE(merge.workers[0].issues.empty());
+  ASSERT_FALSE(merge.workers[1].issues.empty()) << "the tear must be reported";
+  EXPECT_NE(merge.workers[1].issues[0].detail.find("truncated"),
+            std::string::npos);
+  EXPECT_GT(merge.workers[1].records, 0u)
+      << "the valid prefix must survive the tear";
+  // The coordinator reads, never seals: the torn file is left as it was
+  // for the worker's own next reopen to truncate.
+  EXPECT_EQ(fs::file_size(active), torn_size);
+  EXPECT_EQ(dir_snapshot(journal1), before);
 
   std::string error;
-  ASSERT_TRUE(write_merged_journal((dir.path / "merged").string(), config_fp,
-                                   merge.records, &error))
+  ASSERT_TRUE(journal_io::write_sealed_segment(
+      (dir.path / "merged").string(), 1, config_fp, merge.records, &error))
       << error;
   PostOpcFlow fin(design(), lib(), LithoSimulator{},
                   journaled_options(2, dir.path / "merged"));
@@ -1162,16 +1196,20 @@ TEST(ShardFlow, TornWorkerSegmentRecomputesResidualBitIdentical) {
   EXPECT_GT(s.appended_records, 0u)
       << "the torn-off windows must recompute as residual work";
 
-  // Losing the segment entirely (worker never published, no private
-  // journal either) degrades further but stays bit-identical: every one
-  // of that worker's windows becomes residual work.
-  fs::remove(seg1);
-  const MergeResult merge2 =
-      collect_and_merge_segments(dir.path.string(), 2, config_fp, {"", ""});
-  EXPECT_FALSE(merge2.workers[1].segment_found);
-  EXPECT_LT(merge2.records.size(), merge.records.size() + 1);
-  ASSERT_TRUE(write_merged_journal((dir.path / "merged2").string(), config_fp,
-                                   merge2.records, &error))
+  // Losing the journal entirely (the worker never started) degrades
+  // further but stays bit-identical: the missing directory is one
+  // kJournalIo issue, and every one of that worker's windows becomes
+  // residual work.
+  fs::remove_all(dir.path / "w01");
+  const MergeResult merge2 = merge_worker_journals(journals, config_fp);
+  EXPECT_FALSE(merge2.workers[1].found);
+  EXPECT_EQ(merge2.workers[1].records, 0u);
+  ASSERT_EQ(merge2.workers[1].issues.size(), 1u);
+  EXPECT_EQ(merge2.workers[1].issues[0].code, FaultCode::kJournalIo);
+  EXPECT_FALSE(fs::exists(dir.path / "w01")) << "the reader creates nothing";
+  EXPECT_LT(merge2.records.size(), merge.records.size());
+  ASSERT_TRUE(journal_io::write_sealed_segment(
+      (dir.path / "merged2").string(), 1, config_fp, merge2.records, &error))
       << error;
   PostOpcFlow fin2(design(), lib(), LithoSimulator{},
                    journaled_options(1, dir.path / "merged2"));
@@ -1540,8 +1578,10 @@ TEST(SupervisorSignals, ForwardsFirstSignalAndEscalatesRepeats) {
   // workers die by that signal, nothing escalates.
   {
     std::vector<WorkerCommand> cmds;
-    cmds.push_back({0, {"/bin/sh", "-c", "sleep 30"}});
-    cmds.push_back({1, {"/bin/sh", "-c", "sleep 30"}});
+    // exec: the signals must reach sleep itself, not a shell that forked
+    // it (an orphaned sleep would outlive the test and hold ctest's pipe).
+    cmds.push_back({0, {"/bin/sh", "-c", "exec sleep 30"}});
+    cmds.push_back({1, {"/bin/sh", "-c", "exec sleep 30"}});
     SupervisorOptions so;
     so.watchdog = true;
     so.no_progress_timeout_ms = 600000;  // the watchdog must stay out
@@ -1577,7 +1617,8 @@ TEST(SupervisorSignals, ForwardsFirstSignalAndEscalatesRepeats) {
   // steps, not collapse into one delivery.
   {
     std::vector<WorkerCommand> cmds;
-    cmds.push_back({0, {"/bin/sh", "-c", "trap '' TERM; sleep 30"}});
+    // An ignored disposition survives exec, so sleep stays TERM-immune.
+    cmds.push_back({0, {"/bin/sh", "-c", "trap '' TERM; exec sleep 30"}});
     SupervisorOptions so;
     so.watchdog = true;
     so.no_progress_timeout_ms = 600000;
