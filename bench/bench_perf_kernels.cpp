@@ -158,7 +158,7 @@ BENCHMARK(BM_AerialImageSocsSignoff)->Arg(0)->Arg(30)
 void BM_AerialImageSocsKernels(benchmark::State& state) {
   // Kernel-budget sweep at quality 3 (S = 24 source points): wall time vs
   // max_kernels, with the CD deviation from Abbe recorded in the label so
-  // BENCH_PR3.json carries the speed/accuracy trade explicitly.
+  // each row carries the speed/accuracy trade explicitly.
   std::vector<Rect> lines;
   for (int k = -3; k <= 3; ++k) lines.push_back({k * 250, -600, k * 250 + 90, 600});
   const Image2D mask = rasterize_mask(lines, {-900, -700, 990, 700}, 8.0);

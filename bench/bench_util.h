@@ -5,12 +5,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <filesystem>
 #include <string>
-#include <string_view>
 
 #include "src/common/log.h"
 #include "src/common/table.h"
@@ -44,19 +42,11 @@ inline double wall_ms(const std::function<void()>& fn) {
       .count();
 }
 
-/// POC_CACHE=0 disables the window cache for every bench flow, so
-/// scripts/bench.sh can A/B cache-on vs cache-off without a rebuild.
-inline bool cache_env_enabled() {
-  const char* v = std::getenv("POC_CACHE");
-  return v == nullptr || std::string_view(v) != "0";
-}
-
 /// Builds a flow whose clock gives the drawn-CD baseline the requested
 /// relative slack margin (the paper's result is quoted on a design with a
 /// modest positive margin, which the slack percentage amplifies).
 inline PostOpcFlow make_flow(const PlacedDesign& design, double margin = 0.12,
                              FlowOptions opts = {}) {
-  opts.cache.enabled = opts.cache.enabled && cache_env_enabled();
   PostOpcFlow probe(design, library(), LithoSimulator{}, opts);
   const StaReport baseline = probe.run_sta(nullptr);
   opts.sta.clock_period = baseline.worst_arrival * (1.0 + margin);

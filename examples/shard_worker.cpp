@@ -79,7 +79,6 @@ struct Args {
   // Watchdog knobs: --watchdog-timeout-ms > 0 turns self-healing on.
   std::uint64_t watchdog_timeout_ms = 0;
   std::uint32_t watchdog_retries = 1;
-  std::uint64_t watchdog_poll_ms = 20;
   std::uint64_t watchdog_backoff_ms = 50;
   std::size_t heartbeat_every = 1;
   // I/O fault injection (sticky wildcards through the vfs shim).
@@ -131,7 +130,6 @@ int run_coordinator(const Args& args, const PlacedDesign& design,
   so.share_disk_cache = args.disk_cache;
   so.watchdog.enabled = args.watchdog_timeout_ms > 0;
   so.watchdog.no_progress_timeout_ms = args.watchdog_timeout_ms;
-  so.watchdog.poll_interval_ms = args.watchdog_poll_ms;
   so.watchdog.max_respawns = args.watchdog_retries;
   so.watchdog.backoff_initial_ms = args.watchdog_backoff_ms;
   so.heartbeat_every_appends = args.heartbeat_every;
@@ -196,8 +194,12 @@ int run_coordinator(const Args& args, const PlacedDesign& design,
                 iv.detail.c_str());
   }
   for (const FlowHealth::WindowFault& f : result.shard_health.faults) {
-    std::printf("shard fault: worker %llu %s (%s)\n",
-                static_cast<unsigned long long>(f.index),
+    // The coordinator files its own faults (a failed merged-journal write)
+    // under kNoWindowId; every other index is a worker id.
+    const std::string who =
+        f.index == kNoWindowId ? "coordinator"
+                               : "worker " + std::to_string(f.index);
+    std::printf("shard fault: %s %s (%s)\n", who.c_str(),
                 fault_code_name(f.code), f.origin.c_str());
   }
   const CacheCounters cache = result.cache.total();
@@ -287,9 +289,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--watchdog-retries") == 0) {
       args.watchdog_retries =
           static_cast<std::uint32_t>(std::atoll(next("--watchdog-retries")));
-    } else if (std::strcmp(argv[i], "--watchdog-poll-ms") == 0) {
-      args.watchdog_poll_ms =
-          static_cast<std::uint64_t>(std::atoll(next("--watchdog-poll-ms")));
     } else if (std::strcmp(argv[i], "--watchdog-backoff-ms") == 0) {
       args.watchdog_backoff_ms = static_cast<std::uint64_t>(
           std::atoll(next("--watchdog-backoff-ms")));

@@ -65,8 +65,9 @@ REF_WS=$(ws_of "$OUT")
 
 # run_leg <name> <require-field|none> <worker-args...>
 # Runs one faulted coordinator leg; hard-fails unless it exits 0, prints a
-# worst slack string-identical to the reference, and (when asked) reports
-# a non-zero <require-field> on its SHARD_RESULT line.
+# worst slack string-identical to the reference, never prints the
+# no-window sentinel (a coordinator fault reads "coordinator"), and (when
+# asked) reports a non-zero <require-field> on its SHARD_RESULT line.
 run_leg() {
   local name=$1; shift
   local require=$1; shift
@@ -78,6 +79,10 @@ run_leg() {
   if [[ $rc -ne 0 ]]; then
     echo "$out"
     echo "chaos_smoke: $name exited $rc" >&2
+    exit 1
+  fi
+  if grep -q 18446744073709551615 <<<"$out"; then
+    echo "chaos_smoke: $name printed the no-window sentinel as a worker id" >&2
     exit 1
   fi
   local ws
@@ -101,7 +106,7 @@ run_leg "hang: stall worker 0, $W worker(s), watchdog heals" interventions \
   --design "$DESIGN" --workers "$W" --threads 1 --fresh \
   --work-dir "$WORK/hang" \
   --stall-worker 0 --stall-after 2 \
-  --watchdog-timeout-ms 1500 --watchdog-poll-ms 25 \
+  --watchdog-timeout-ms 1500 \
   --watchdog-retries 2 --watchdog-backoff-ms 20
 
 pick_workers

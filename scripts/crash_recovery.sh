@@ -5,7 +5,7 @@
 #   1. reference: an uninterrupted run in a fresh journal directory records
 #      the ground-truth annotated worst slack;
 #   2. crash: a fresh journaled run SIGKILLs itself mid-flow (the journal's
-#      deterministic kill hook, POC_JOURNAL_KILL_AFTER) — exit must be 137;
+#      deterministic kill hook, --kill-after) — exit must be 137;
 #   3. resume at 1 thread, then re-resume at 4 threads: both must replay
 #      from the journal (replayed > 0) and print an annotated worst slack
 #      bit-identical (string-identical at %.9f) to the reference.

@@ -14,9 +14,14 @@
 #      the residual windows in-process, report a phase-"shard" fault — and
 #      still print the identical worst slack with exit 0;
 #   4. resume: rerunning the coordinator over the kill leg's work dir must
-#      replay (shared disk cache + surviving journals) to the same slack.
+#      replay (shared disk cache + surviving journals) to the same slack;
+#   5. scale: tiled60 cold at 1, 2 and 4 workers, then 4 workers over the
+#      cold 4-worker leg's published disk cache.  All four legs must print
+#      one worst slack, and on a host with >= 4 vCPUs the cold 4-worker leg
+#      must run more than 1.5x faster than the 1-worker leg (smaller hosts
+#      cannot scale by construction and only warn).
 #
-# Usage: scripts/shard_smoke.sh [build-dir] [design]
+# Usage: scripts/shard_smoke.sh [build-dir] [design]   (design: legs 1-4)
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -98,3 +103,43 @@ if [[ "$WS" != "$REF_WS" ]]; then
 fi
 
 echo "== shard_smoke: worst slack bit-identical across 1w / 2w / kill / resume =="
+
+SCALE_WS=""
+declare -A WALL_MS
+for LEG in 1 2 4 warm; do
+  W=$LEG
+  ARGS=(--fresh)
+  if [[ "$LEG" == warm ]]; then
+    # Every window is already published in the shared disk cache.
+    W=4
+    ARGS=()
+    mkdir -p "$WORK/s$LEG"
+    cp -r "$WORK/s4/cache" "$WORK/s$LEG/cache"
+  fi
+  echo "== shard_smoke: leg 5 — tiled60, $W worker(s), ${LEG/[0-9]/cold} =="
+  T0=$(date +%s%N)
+  OUT=$("$BIN" --design tiled60 --workers "$W" --threads 1 \
+        --work-dir "$WORK/s$LEG" "${ARGS[@]}" 2>&1) || {
+    echo "$OUT"; echo "shard_smoke: tiled60 leg $LEG failed" >&2; exit 1
+  }
+  WALL_MS[$LEG]=$(( ($(date +%s%N) - T0) / 1000000 ))
+  echo "$OUT" | grep SHARD_RESULT
+  echo "wall ${WALL_MS[$LEG]} ms"
+  WS=$(ws_of "$OUT")
+  SCALE_WS=${SCALE_WS:-$WS}
+  if [[ -z "$WS" || "$WS" != "$SCALE_WS" ]]; then
+    echo "shard_smoke: tiled60 leg $LEG WS diverged: $WS != $SCALE_WS" >&2
+    exit 1
+  fi
+done
+
+SPEEDUP=$(awk "BEGIN { printf \"%.2f\", ${WALL_MS[1]} / ${WALL_MS[4]} }")
+echo "== shard_smoke: tiled60 4-worker speedup ${SPEEDUP}x over 1 worker =="
+if awk "BEGIN { exit !($SPEEDUP <= 1.5) }"; then
+  if [[ $(nproc) -ge 4 ]]; then
+    echo "shard_smoke: speedup ${SPEEDUP}x <= 1.5x on a $(nproc)-vCPU host" >&2
+    exit 1
+  fi
+  echo "WARNING: speedup ${SPEEDUP}x <= 1.5x (host has $(nproc) vCPU(s);" \
+       "the bar needs >= 4)" >&2
+fi

@@ -1,6 +1,7 @@
 // Deterministic fault-injection harness.  Compiled in, default-off: the
 // fast path is a single relaxed atomic load, so the fault-free flow pays
-// noise-level overhead (measured in BENCH_PR4.json).
+// noise-level overhead (gated by the containment band of
+// bench/bench_overhead_bands).
 //
 // Injection decisions are pure functions of (seed, kind, domain, index):
 // a window is identified by the hot-loop domain it runs under (OPC /

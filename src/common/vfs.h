@@ -8,8 +8,9 @@
 // cache tier goes down while the memory tier keeps serving; results stay
 // bit-identical throughout).
 //
-// Fault-free cost is one relaxed atomic load per call (fault::enabled()),
-// measured in BENCH_PR10.json.  With no fault plan installed — or outside
+// Fault-free cost is one relaxed atomic load per call (fault::enabled());
+// the self-heal band of bench/bench_overhead_bands runs it in both of its
+// legs.  With no fault plan installed — or outside
 // an I/O fault::Scope — every wrapper is a transparent passthrough.
 #pragma once
 

@@ -292,7 +292,6 @@ ShardFlowResult run_sharded_flow(const PlacedDesign& design,
   SupervisorOptions sup;
   sup.watchdog = options.watchdog.enabled;
   sup.no_progress_timeout_ms = options.watchdog.no_progress_timeout_ms;
-  sup.poll_interval_ms = options.watchdog.poll_interval_ms;
   sup.max_respawns = options.watchdog.max_respawns;
   sup.backoff_initial_ms = options.watchdog.backoff_initial_ms;
   sup.backoff_max_ms = options.watchdog.backoff_max_ms;

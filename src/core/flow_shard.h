@@ -109,7 +109,6 @@ bool run_shard_worker(const PlacedDesign& design, const StdCellLibrary& lib,
 struct ShardWatchdogOptions {
   bool enabled = false;
   std::uint64_t no_progress_timeout_ms = 60000;
-  std::uint64_t poll_interval_ms = 20;
   std::uint32_t max_respawns = 1;
   std::uint64_t backoff_initial_ms = 50;
   std::uint64_t backoff_max_ms = 1000;

@@ -20,6 +20,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Supervision tick: the loop reaps exits, probes progress and fires
+/// respawns this often, so a run can end up to one tick after its last
+/// worker exits.
+constexpr std::chrono::milliseconds kSupervisionTick{20};
+
 bool fp_less(const JournalRecord& a, const JournalRecord& b) {
   if (a.phase != b.phase) return a.phase < b.phase;
   if (a.index != b.index) return a.index < b.index;
@@ -234,8 +239,7 @@ SupervisionResult supervise_tasks(std::vector<SupervisedTask>& tasks,
     }
 
     if (!finished()) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options.poll_interval_ms));
+      std::this_thread::sleep_for(kSupervisionTick);
     }
   }
 

@@ -59,8 +59,6 @@ struct SupervisorOptions {
   /// A worker whose progress value has not changed for this long is
   /// declared stalled and killed.  Spawn counts as progress.
   std::uint64_t no_progress_timeout_ms = 60000;
-  /// Supervision tick: reap exits, probe progress, fire respawns.
-  std::uint64_t poll_interval_ms = 20;
   /// Respawn budget per worker after a failed exit (stall kill, crash,
   /// nonzero exit).  0 = never respawn.
   std::uint32_t max_respawns = 1;

@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -227,6 +226,10 @@ void replay_segment(const std::string& dir, const Fingerprint& config_fp,
   // flow options must never be replayed into this run.
   const char* reject = nullptr;
   if (bytes.size() < kHeaderBytes) {
+    if (segment.active) {
+      segment.headerless = true;  // holds no record; nothing to reject
+      return;
+    }
     reject = "segment shorter than its header";
   } else {
     ByteReader h(bytes.data(), kHeaderBytes);
@@ -349,10 +352,6 @@ const char* journal_phase_name(JournalPhase phase) {
 RunJournal::RunJournal(const JournalOptions& options, Fingerprint config_fp)
     : options_(options), config_fp_(config_fp) {
   if (options_.flush_every_records == 0) options_.flush_every_records = 1;
-  if (const char* env = std::getenv("POC_JOURNAL_KILL_AFTER")) {
-    options_.kill_after_appends =
-        static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
 
   std::error_code ec;
   fs::create_directories(options_.path, ec);
@@ -392,8 +391,20 @@ RunJournal::~RunJournal() {
 void RunJournal::seal_previous_segment(const JournalReplay::Segment& segment) {
   // Drop any torn tail past the last valid record, then atomically rename
   // .open -> .seg.  A crash between truncate and rename just repeats this
-  // step on the next open.
+  // step on the next open.  A headerless segment holds no record: delete
+  // it rather than seal a file every later replay would reject.
   const std::string path = options_.path + "/" + segment.name;
+  if (segment.headerless) {
+    if (::unlink(path.c_str()) != 0) {
+      issues_.push_back({FaultCode::kJournalIo, segment.name, 0,
+                         std::string("cannot remove headerless segment: ") +
+                             std::strerror(errno)});
+      return;
+    }
+    --stats_.segments;
+    sync_directory(options_.path);
+    return;
+  }
   fault::Scope io_scope(fault::Domain::kJournalIo, io_ops_++);
   if (segment.torn &&
       vfs::truncate(path.c_str(), static_cast<off_t>(segment.valid_bytes)) !=

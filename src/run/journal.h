@@ -22,7 +22,8 @@
 //     atomically renamed from journal-NNNNNN.open to journal-NNNNNN.seg;
 //   * on reopen, the previous active segment's valid prefix is kept, a
 //     torn tail (SIGKILL mid-write) is truncated away and reported, and
-//     the file is sealed by the same atomic rename.
+//     the file is sealed by the same atomic rename; one that never got
+//     its header holds no record and is deleted.
 //
 // Replay itself is one read-only reader, journal_io::replay_dir: the
 // reopen runs it before sealing, and the shard coordinator runs it over
@@ -59,8 +60,7 @@ struct JournalOptions {
   std::size_t segment_bytes = std::size_t{64} << 20;
   /// Deterministic crash hook for the recovery tests and scripts: after
   /// this many appended records the journal flushes, fsyncs, and raises
-  /// SIGKILL — a kill at an exact window boundary.  0 = off.  The
-  /// POC_JOURNAL_KILL_AFTER environment variable overrides this value.
+  /// SIGKILL — a kill at an exact window boundary.  0 = off.
   std::size_t kill_after_appends = 0;
   /// Progress hook, invoked after each successful append with the total
   /// appended-record count — outside the journal mutex, so the callback
@@ -114,6 +114,9 @@ struct JournalReplay {
     std::string name;             ///< file name, e.g. journal-000003.open
     bool active = false;          ///< an unsealed .open segment
     bool torn = false;            ///< valid records end before the file does
+    /// An active segment shorter than its header (a failed header write,
+    /// or a kill between create and header write): it holds no record.
+    bool headerless = false;
     std::size_t valid_bytes = 0;  ///< end of the last valid record
   };
   bool found = false;                  ///< the directory exists
@@ -131,9 +134,10 @@ namespace journal_io {
 /// magic, version and checksum, the config fingerprint against
 /// `config_fp` (a mismatch rejects the segment wholesale), then each
 /// record frame.  A checksum reject skips one record; a bad marker or a
-/// partial frame ends the segment, keeping its valid prefix.  Creates,
-/// truncates, renames and syncs nothing: a missing directory comes back
-/// with found = false and one kJournalIo issue.
+/// partial frame ends the segment, keeping its valid prefix.  An active
+/// segment shorter than its header is marked headerless, not rejected.
+/// Creates, truncates, renames and syncs nothing: a missing directory
+/// comes back with found = false and one kJournalIo issue.
 JournalReplay replay_dir(const std::string& dir, const Fingerprint& config_fp);
 
 /// Writes `records` as one sealed standard journal segment
@@ -152,8 +156,9 @@ class RunJournal {
  public:
   /// Opens `options.path` (creating it if needed), replays every segment
   /// against `config_fp` through journal_io::replay_dir, seals the previous
-  /// run's active segment, and starts a new one for this run's appends.  Throws FlowException(kJournalIo)
-  /// when the directory or active segment cannot be created.
+  /// run's active segment (deletes it when headerless), and starts a new
+  /// one for this run's appends.  Throws FlowException(kJournalIo) when the
+  /// directory or active segment cannot be created.
   RunJournal(const JournalOptions& options, Fingerprint config_fp);
   ~RunJournal();
 

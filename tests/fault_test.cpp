@@ -605,6 +605,75 @@ TEST_F(FaultFlowFixture, OpcRetryRunsOnAbbe) {
   }
 }
 
+void expect_same_report(const StaReport& a, const StaReport& b,
+                        const Netlist& nl) {
+  EXPECT_EQ(a.worst_arrival, b.worst_arrival);
+  EXPECT_EQ(a.worst_slack, b.worst_slack);
+  EXPECT_EQ(a.total_leakage_ua, b.total_leakage_ua);
+  EXPECT_EQ(a.gate_slack, b.gate_slack);
+  ASSERT_EQ(a.endpoints.size(), b.endpoints.size());
+  for (std::size_t i = 0; i < a.endpoints.size(); ++i) {
+    EXPECT_EQ(a.endpoints[i].net, b.endpoints[i].net);
+    EXPECT_EQ(a.endpoints[i].rising, b.endpoints[i].rising);
+    EXPECT_EQ(a.endpoints[i].arrival, b.endpoints[i].arrival);
+    EXPECT_EQ(a.endpoints[i].slack, b.endpoints[i].slack);
+  }
+  ASSERT_EQ(a.paths.size(), b.paths.size());
+  for (std::size_t i = 0; i < a.paths.size(); ++i) {
+    EXPECT_EQ(a.paths[i].signature(nl), b.paths[i].signature(nl));
+    EXPECT_EQ(a.paths[i].arrival, b.paths[i].arrival);
+    EXPECT_EQ(a.paths[i].slack, b.paths[i].slack);
+  }
+}
+
+TEST_F(FaultFlowFixture, CleanRunBitIdenticalWithContainmentOnOrOff) {
+  // Containment must not perturb a clean run: with no fault injected,
+  // recovery on and off give the same masks, extraction records and
+  // TimingComparison, health included, at 1 and 4 threads.
+  const Netlist& nl = design().netlist;
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    std::vector<std::unique_ptr<PostOpcFlow>> flows;
+    std::vector<std::vector<GateExtraction>> ext;
+    std::vector<TimingComparison> cmp;
+    for (const bool recovery : {true, false}) {
+      FlowOptions opts = fault_flow_options(threads);
+      opts.recovery.enabled = recovery;
+      flows.push_back(std::make_unique<PostOpcFlow>(design(), lib(),
+                                                    LithoSimulator{}, opts));
+      flows.back()->run_opc(OpcMode::kModelBased);
+      ext.push_back(flows.back()->extract({}));
+      cmp.push_back(flows.back()->compare_timing());
+    }
+    for (std::size_t i = 0; i < design().layout.num_instances(); ++i) {
+      EXPECT_TRUE(flows[0]->mask_for_instance(i) ==
+                  flows[1]->mask_for_instance(i))
+          << "instance " << i;
+    }
+    ASSERT_EQ(ext[0].size(), ext[1].size());
+    for (std::size_t g = 0; g < ext[0].size(); ++g) {
+      expect_same_devices(ext[0][g], ext[1][g]);
+    }
+    expect_same_report(cmp[0].drawn, cmp[1].drawn, nl);
+    expect_same_report(cmp[0].annotated, cmp[1].annotated, nl);
+    EXPECT_EQ(cmp[0].ranks.matched, cmp[1].ranks.matched);
+    EXPECT_EQ(cmp[0].ranks.spearman, cmp[1].ranks.spearman);
+    EXPECT_EQ(cmp[0].ranks.kendall, cmp[1].ranks.kendall);
+    EXPECT_EQ(cmp[0].ranks.top10_displaced, cmp[1].ranks.top10_displaced);
+    EXPECT_EQ(cmp[0].ranks.rank1_changed, cmp[1].ranks.rank1_changed);
+    EXPECT_EQ(cmp[0].ranks.max_rank_shift, cmp[1].ranks.max_rank_shift);
+    EXPECT_EQ(cmp[0].worst_slack_change_pct, cmp[1].worst_slack_change_pct);
+    EXPECT_EQ(cmp[0].leakage_change_pct, cmp[1].leakage_change_pct);
+    for (const TimingComparison& c : cmp) {
+      EXPECT_TRUE(c.health.clean());
+      EXPECT_EQ(c.health.retries, 0u);
+      EXPECT_EQ(c.health.recovered_windows, 0u);
+      EXPECT_EQ(c.health.degraded_windows, 0u);
+      EXPECT_TRUE(c.health.degraded_gates.empty());
+    }
+  }
+}
+
 TEST_F(FaultFlowFixture, NanPixelRaisesStructuredNonFiniteFault) {
   fault::Config cfg;
   cfg.enabled = true;

@@ -268,6 +268,44 @@ TEST(RunJournal, TruncatedTailIsRejectedReportedAndSealedAway) {
   EXPECT_TRUE(j3.issues().empty());
 }
 
+TEST(RunJournal, FailedHeaderWriteLeavesNoPoisonedSegment) {
+  // ENOSPC on a fresh journal's first write, its segment header: the
+  // constructor throws and leaves a 0-byte active segment, the state a
+  // kill between create and header write leaves too.  It holds no record,
+  // so later opens drop it silently instead of sealing a segment that
+  // every replay would reject.
+  TempDir dir("poc_run_journal_header_enospc");
+  JournalOptions opts;
+  opts.enabled = true;
+  opts.path = dir.path.string();
+  fault::Config cfg;
+  cfg.enabled = true;
+  cfg.targets.push_back(
+      {fault::Kind::kIoEnospc, fault::Domain::kJournalIo, 0});
+  fault::configure(cfg);
+  FaultCode thrown = FaultCode::kUnknown;
+  try {
+    RunJournal j(opts, kConfigA);
+  } catch (const FlowException& e) {
+    thrown = e.error().code;
+  }
+  fault::reset();
+  EXPECT_EQ(thrown, FaultCode::kJournalIo);
+
+  for (int reopen = 1; reopen <= 2; ++reopen) {
+    SCOPED_TRACE(reopen);
+    RunJournal j(opts, kConfigA);
+    EXPECT_EQ(j.stats().rejected_records, 0u);
+    for (const ReplayIssue& issue : j.issues()) {
+      EXPECT_NE(issue.code, FaultCode::kJournalMismatch)
+          << issue.segment << ": " << issue.detail;
+    }
+    for (const fs::path& p : journal_files(dir.path)) {
+      EXPECT_GT(fs::file_size(p), 0u) << p.filename();
+    }
+  }
+}
+
 TEST(RunJournal, BitFlippedRecordIsRejectedOthersSurvive) {
   TempDir dir("poc_run_journal_flip");
   JournalOptions opts;
@@ -1367,7 +1405,6 @@ TEST(ShardSelfHeal, StalledWorkerDetectedRespawnedResumesBitIdentical) {
     so.work_dir = dir.path.string();
     so.watchdog.enabled = true;
     so.watchdog.no_progress_timeout_ms = kSelfHealTimeoutMs;
-    so.watchdog.poll_interval_ms = 25;
     so.watchdog.max_respawns = 3;
     so.watchdog.backoff_initial_ms = 10;
     so.watchdog.backoff_max_ms = 50;
@@ -1427,7 +1464,6 @@ TEST(ShardSelfHeal, RetriesExhaustedRedistributeResidualAcrossSurvivors) {
   so.work_dir = dir.path.string();
   so.watchdog.enabled = true;
   so.watchdog.no_progress_timeout_ms = kSelfHealTimeoutMs;
-  so.watchdog.poll_interval_ms = 25;
   so.watchdog.max_respawns = 1;
   so.watchdog.backoff_initial_ms = 10;
   so.watchdog.backoff_max_ms = 50;
@@ -1585,7 +1621,6 @@ TEST(SupervisorSignals, ForwardsFirstSignalAndEscalatesRepeats) {
     SupervisorOptions so;
     so.watchdog = true;
     so.no_progress_timeout_ms = 600000;  // the watchdog must stay out
-    so.poll_interval_ms = 10;
     so.max_respawns = 0;
     so.forward_signals = true;
     std::atomic<int> probes{0};
@@ -1622,7 +1657,6 @@ TEST(SupervisorSignals, ForwardsFirstSignalAndEscalatesRepeats) {
     SupervisorOptions so;
     so.watchdog = true;
     so.no_progress_timeout_ms = 600000;
-    so.poll_interval_ms = 10;
     so.max_respawns = 0;
     so.forward_signals = true;
     std::atomic<int> probes{0};
